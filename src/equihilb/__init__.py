@@ -7,7 +7,6 @@ from .exactalg import (
     TS,
     TSS,
     VarSet,
-    linear_solve_ratfun,
     parse_poly,
     parse_ratfun,
     rat_equal,

@@ -37,6 +37,8 @@ PAIRS = ("segre", "concat")
 def _cap(ctx, value, what):
     if value is None:
         return value
+    if value < 0:
+        raise click.UsageError("%s=%d must not be negative" % (what, value))
     if value > SAFE_CAP and not ctx.params.get("unsafe"):
         raise click.UsageError(
             "%s=%d exceeds the safety cap %d; pass --unsafe to override"
@@ -59,16 +61,19 @@ def main():
 
 
 def _build_language(selector, c, a, a_c, b, b_c, checked):
-    if selector in SINGLES:
+    if selector not in SINGLES + PAIRS:
+        raise click.UsageError("unknown selector %r" % selector)
+    try:
+        if selector in PAIRS:
+            return builtin_pair(selector, a, a_c, b, b_c, checked=checked)
         lang = builtin_single(selector, c)
-        if checked:
-            ok, bad, _ = lang.check(6)
-            if not ok:
-                raise click.ClickException("automaton/predicate mismatch at %r" % (bad,))
-        return lang
-    if selector in PAIRS:
-        return builtin_pair(selector, a, a_c, b, b_c, checked=checked)
-    raise click.UsageError("unknown selector %r" % selector)
+    except ValueError as e:
+        raise click.UsageError(str(e))
+    if checked:
+        ok, bad, _ = lang.check(6)
+        if not ok:
+            raise click.ClickException("automaton/predicate mismatch at %r" % (bad,))
+    return lang
 
 
 @main.command()
@@ -107,6 +112,8 @@ def series(ctx, selector, c, a, a_c, b, b_c, expand, checked, unsafe, fmt):
             lines.append("  MISMATCH between computed identity and stated form")
         _emit(fmt, payload, lines)
         return
+    for value, what in ((c, "--c"), (a_c, "--a-c"), (b_c, "--b-c")):
+        _cap(ctx, value, what)
     lang = _build_language(selector, c, a, a_c, b, b_c, checked)
     ser = lang.series()
     results = {"series": ratfun_to_text(ser)}
@@ -169,9 +176,10 @@ def series(ctx, selector, c, a, a_c, b, b_c, expand, checked, unsafe, fmt):
 @click.pass_context
 def compare(ctx, family, c, conv, dmax, nmax, strict, unsafe, fmt):
     """Compare language counts against the brute-force monomial oracle."""
+    _cap(ctx, c, "--c")
     _cap(ctx, dmax, "--dmax")
     _cap(ctx, nmax, "--nmax")
-    lang = builtin_single(family, c)
+    lang = _build_language(family, c, None, None, None, None, False)
     if family == "gap":
         fam = GeneratorFamily("gap")
     else:
@@ -218,8 +226,7 @@ def toric():
 @click.pass_context
 def gens(ctx, dmax, unsafe, fmt):
     """List the kernel generator family up to a degree."""
-    if dmax > 20:
-        raise click.UsageError("--dmax too large")
+    _cap(ctx, dmax, "--dmax")
     fam = build_gen_family(max_degree=dmax)
     census = {}
     rows = []
@@ -320,6 +327,7 @@ def _move_set(name, kind, c, n, degree_cap):
 @click.pass_context
 def fibers(ctx, kind, c, n, degree, target, moves, exclude, unsafe, fmt):
     """Fiber-graph connectivity reports."""
+    _cap(ctx, c, "--c")
     _cap(ctx, n, "--n")
     _cap(ctx, degree, "--degree")
     if moves is None:
@@ -399,6 +407,7 @@ def fibers(ctx, kind, c, n, degree, target, moves, exclude, unsafe, fmt):
 @click.pass_context
 def reduce(ctx, binomial_text, moves, kind, c, n, unsafe, fmt):
     """Reduce a kernel binomial by a move set; report zero or the remainder."""
+    _cap(ctx, c, "--c")
     _cap(ctx, n, "--n")
     h = parse_binomial(binomial_text)
     if not kernel_test(h):

@@ -144,17 +144,6 @@ class MPoly:
         # lex-largest exponent tuple; used for canonical signs and divexact
         return max(self.terms)
 
-    def evaluate(self, point):
-        # point maps variable name -> number; exact over Fraction
-        vals = [Fraction(point.get(x, 0)) for x in self.vars.names]
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            v = Fraction(c)
-            for b, k in zip(vals, e):
-                v *= b**k
-            total += v
-        return total
-
     def degree(self):
         if not self.terms:
             return -1
@@ -324,8 +313,7 @@ class CountTable:
     def get(self, key):
         return self.data.get(tuple(key), 0)
 
-    def __getitem__(self, key):
-        return self.data.get(tuple(key), 0)
+    __getitem__ = get
 
     def set(self, key, value):
         key = tuple(key)
@@ -396,67 +384,27 @@ def series_expand(f, bounds, axes=None):
     return out
 
 
-def linear_solve_ratfun(mat, rhs):
-    """Solve mat*x = rhs exactly, entries RatFun or MPoly.
+def bareiss_minors(mat):
+    """Leading principal minors of a square MPoly matrix.
 
-    Fraction-free Gauss-Jordan: each row is cleared to a common-denominator
-    MPoly row first, then one-step Bareiss elimination runs over all rows at
-    every pivot, with every interior division exact.  The result components
-    are RatFun(b_i, diag_i); no polynomial division is ever performed.
+    One fraction-free Bareiss elimination without pivoting: after step k the
+    trailing entries are minors bordered on rows and columns 0..k, and each
+    division by the previous pivot is exact.  Only the minors before the last
+    are divided by; a zero among them raises ArithmeticError.
     """
-    n = len(mat)
-    if n == 0:
-        return []
-    vs = None
-    for row in mat:
-        for x in row:
-            if isinstance(x, (MPoly, RatFun)):
-                vs = x.vars
-                break
-        if vs:
-            break
-    if vs is None:
-        raise ValueError("no polynomial entries")
-
-    def as_rat(x):
-        if isinstance(x, RatFun):
-            return x
-        if isinstance(x, MPoly):
-            return RatFun(x)
-        return RatFun.const(vs, x)
-
-    aug = []
-    for i in range(n):
-        row = [as_rat(x) for x in mat[i]] + [as_rat(rhs[i])]
-        dens = [x.den for x in row]
-        cleared = []
-        for j, x in enumerate(row):
-            p = x.num
-            for k, d in enumerate(dens):
-                if k != j:
-                    p = p * d
-            cleared.append(p)
-        aug.append(cleared)
-
-    one = MPoly.const(vs, 1)
-    prev = one
-    for k in range(n):
-        if aug[k][k].is_zero():
-            for r in range(k + 1, n):
-                if not aug[r][k].is_zero():
-                    aug[k], aug[r] = aug[r], aug[k]
-                    break
-            else:
-                raise ArithmeticError("singular matrix at pivot %d" % k)
-        piv = aug[k][k]
-        for i in range(n):
-            if i == k:
-                continue
-            lead = aug[i][k]
-            for j in range(n + 1):
-                aug[i][j] = divexact(piv * aug[i][j] - lead * aug[k][j], prev)
+    a = [list(row) for row in mat]
+    n = len(a)
+    prev = None
+    for k in range(n - 1):
+        piv = a[k][k]
+        if piv.is_zero():
+            raise ArithmeticError("zero leading minor of order %d" % (k + 1))
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                x = piv * a[i][j] - a[i][k] * a[k][j]
+                a[i][j] = x if prev is None else divexact(x, prev)
         prev = piv
-    return [RatFun(aug[i][n], aug[i][i]) for i in range(n)]
+    return [a[k][k] for k in range(n)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,19 @@
 """Transfer-matrix generating functions for weighted automata.
 
-The series of a partial DFA with start e1 and accepting indicator u is
-u^T (I - sum_a w(a) M_a)^{-1} e1 where M_a(i,j) = 1 iff j --a--> i.
+The series of a partial DFA with start vector e and accepting indicator u is
+u^T (I - A)^{-1} e, where A = sum_a w(a) M_a and M_a(i,j) = 1 iff j --a--> i.
+By Cramer's rule it is one ratio of determinants,
+
+    u^T (I - A)^{-1} e = -det([[I - A, e], [u^T, 0]]) / det(I - A),
+
+and both are leading principal minors of the bordered matrix, so a single
+fraction-free elimination gives the series.  WeightFn admits only
+non-constant monomial weights, so every leading principal minor of I - A has
+constant term 1 and the elimination needs no pivoting.
 """
 
-from .exactalg import MPoly, RatFun, linear_solve_ratfun, series_expand, table_mismatches
-from .automata import dp_count
+from .exactalg import MPoly, RatFun, bareiss_minors, series_expand, table_mismatches
+from .automata import dp_count, minimize
 
 
 class WeightFn:
@@ -20,6 +28,8 @@ class WeightFn:
         for name in alphabet.names:
             if name not in self.exps:
                 raise ValueError("no weight for symbol %r" % name)
+            if not any(self.exps[name]):
+                raise ValueError("weight of %r must be a non-constant monomial" % name)
 
     @classmethod
     def standard(cls, alphabet, vars):
@@ -56,15 +66,19 @@ def transfer_matrix(dfa, weights):
 
 
 def transfer_series(dfa, weights):
-    """Exact generating function of accepted words, one variable per weight axis."""
-    mat = transfer_matrix(dfa, weights)
+    """Exact generating function of accepted words, one variable per weight axis.
+
+    Computed on the minimized automaton as the bordered-determinant ratio.
+    """
+    dfa = minimize(dfa)
     vs = weights.vars
-    rhs = [RatFun.const(vs, 1 if i == dfa.start else 0) for i in range(dfa.r)]
-    x = linear_solve_ratfun(mat, rhs)
-    total = RatFun.const(vs, 0)
-    for q in sorted(dfa.accepts):
-        total = total + x[q]
-    return total
+    one, zero = MPoly.const(vs, 1), MPoly.zero(vs)
+    mat = transfer_matrix(dfa, weights)
+    for q, row in enumerate(mat):
+        row.append(one if q == dfa.start else zero)
+    mat.append([one if q in dfa.accepts else zero for q in range(dfa.r)] + [zero])
+    minors = bareiss_minors(mat)
+    return RatFun(-minors[-1], minors[-2])
 
 
 def series_check(dfa, weights, dmax, size_bounds):

@@ -226,14 +226,6 @@ def _gap_rewrite(pairs):
         )
 
 
-def pairs_to_monomial(pairs):
-    m = {}
-    for a, b in pairs:
-        m[a] = m.get(a, 0) + 1
-        m[b] = m.get(b, 0) + 1
-    return m
-
-
 def hilbert_counts(family, nmax, dmax, conv):
     """CountTable of algebra dimensions, axes (d, n), windows 1..nmax."""
     out = CountTable(("d", "n"), (dmax, nmax))

@@ -71,6 +71,42 @@ def test_series_expand_cap():
     assert res.exit_code == 0
 
 
+def test_series_size_inputs_are_bounded():
+    for args in (["poly-ring", "--c", "0"], ["window-squares", "--c", "-1"],
+                 ["segre", "--a", "poly-ring", "--a-c", "0"],
+                 ["segre", "--a", "mystery"]):
+        res = run("series", *args)
+        assert res.exit_code == 2, args
+    for args in (["window-squares", "--c", "12"], ["segre", "--a-c", "11"],
+                 ["concat", "--b", "window-squares", "--b-c", "11"]):
+        res = run("series", *args)
+        assert res.exit_code == 2, args
+        assert "--unsafe" in res.output
+    res = run("series", "poly-ring", "--c", "11", "--unsafe")
+    assert res.exit_code == 0
+    assert "[agrees]" in res.output
+
+
+def test_series_window_squares_7_denominator():
+    res = run("series", "window-squares", "--c", "7")
+    assert res.exit_code == 0
+    series = res.output.splitlines()[1]
+    den = "1 - s - t - t*s - t*s^2 - t*s^3 - t*s^4 - t*s^5 - t*s^6 - t*s^7"
+    flipped = "-1 + s + t + t*s + t*s^2 + t*s^3 + t*s^4 + t*s^5 + t*s^6 + t*s^7"
+    assert series.endswith("/(%s)" % den) or series.endswith("/(%s)" % flipped)
+
+
+def test_export_and_compare_reject_bad_size():
+    res = run("export", "poly-ring", "--c", "0")
+    assert res.exit_code == 2
+    assert "need c >= 1" in res.output
+    res = run("compare", "window-squares", "--c", "-1")
+    assert res.exit_code == 2
+    res = run("compare", "window-squares", "--c", "11", "--dmax", "1", "--nmax", "1")
+    assert res.exit_code == 2
+    assert "--unsafe" in res.output
+
+
 def test_compare_gap_algebra_flags_cell():
     res = run("compare", "gap", "--conv", "algebra", "--dmax", "2", "--nmax", "2")
     assert res.exit_code == 0
@@ -118,6 +154,12 @@ def test_toric_gens():
     assert "g2" in res.output and "g()" in res.output and "g(1)" in res.output
     assert "census by degree: {2: 1, 4: 1, 5: 1, 6: 2, 7: 3, 8: 5}" in res.output
     assert "all kernel+structure checks: True" in res.output
+    res = run("toric", "gens", "--dmax", "11")
+    assert res.exit_code == 2
+    assert "--unsafe" in res.output
+    res = run("toric", "gens", "--dmax", "11", "--unsafe")
+    assert res.exit_code == 0
+    assert "all kernel+structure checks: True" in res.output
 
 
 def test_toric_fibers_target():
@@ -146,6 +188,11 @@ def test_toric_fibers_degree_sweep():
               "--n", "4", "--degree", "2")
     assert res.exit_code == 0
     assert "0 disconnected fiber(s)" in res.output
+    for c, msg in (("-1", "must not be negative"), ("11", "--unsafe")):
+        res = run("toric", "fibers", "--map", "window-squares", "--c", c,
+                  "--n", "4", "--degree", "2")
+        assert res.exit_code == 2
+        assert msg in res.output
 
 
 def test_toric_reduce():

@@ -5,16 +5,18 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
 from equihilb.exactalg import (
     VarSet,
     MPoly,
     RatFun,
     CountTable,
+    bareiss_minors,
     divexact,
     rat_equal,
     series_expand,
-    linear_solve_ratfun,
     table_mismatches,
     parse_poly,
     parse_ratfun,
@@ -32,6 +34,14 @@ def rand_poly(rng, vs=TS, max_terms=4, max_exp=3, max_coeff=5):
         c = rng.randint(-max_coeff, max_coeff)
         p = p + MPoly.monomial(vs, exp, c)
     return p
+
+
+SYM = sympy.symbols(TS.names)
+
+
+def to_sympy(p):
+    return sympy.Add(*[c * sympy.Mul(*[x**k for x, k in zip(SYM, e)])
+                       for e, c in p.terms.items()])
 
 
 def test_mpoly_construction():
@@ -75,6 +85,13 @@ def test_mpoly_ring_laws():
     assert a ** 3 == a * a * a
 
 
+def evaluate(p, point):
+    total = Fraction(0)
+    for e, c in p.terms.items():
+        total += c * math.prod(Fraction(point[x]) ** k for x, k in zip(p.vars.names, e))
+    return total
+
+
 def test_mpoly_evaluate_is_ring_hom():
     rng = random.Random(11)
     for _ in range(40):
@@ -82,8 +99,8 @@ def test_mpoly_evaluate_is_ring_hom():
         b = rand_poly(rng)
         pt = {"t": Fraction(rng.randint(-4, 4), rng.randint(1, 5)),
               "s": Fraction(rng.randint(-4, 4), rng.randint(1, 5))}
-        assert (a + b).evaluate(pt) == a.evaluate(pt) + b.evaluate(pt)
-        assert (a * b).evaluate(pt) == a.evaluate(pt) * b.evaluate(pt)
+        assert evaluate(a + b, pt) == evaluate(a, pt) + evaluate(b, pt)
+        assert evaluate(a * b, pt) == evaluate(a, pt) * evaluate(b, pt)
 
 
 def test_divexact():
@@ -183,45 +200,55 @@ def test_series_expand_axes_and_unit():
         series_expand(bad, (3, 3))
 
 
-def test_linear_solve_identity_and_known():
+small_polys = st.lists(
+    st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(-3, 3)), max_size=3
+).map(lambda ts: sum((MPoly.monomial(TS, (i, j), c) for i, j, c in ts), MPoly.zero(TS)))
+
+
+@st.composite
+def square_matrices(draw, max_n=4):
+    n = draw(st.integers(1, max_n))
+    return [[draw(small_polys) for _ in range(n)] for _ in range(n)]
+
+
+def cofactor_det(mat):
+    if not mat:
+        return MPoly.const(TS, 1)
+    total = MPoly.zero(TS)
+    for j, x in enumerate(mat[0]):
+        if not x.is_zero():
+            minor = [row[:j] + row[j + 1:] for row in mat[1:]]
+            total = total + (-1) ** j * x * cofactor_det(minor)
+    return total
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(square_matrices())
+def test_bareiss_minors_match_sympy_and_cofactors(mat):
+    n = len(mat)
+    sm = sympy.Matrix([[to_sympy(x) for x in row] for row in mat])
+    dets = [sympy.expand(sm[:k, :k].det(method="domain-ge")) for k in range(1, n + 1)]
+    if any(d == 0 for d in dets[:-1]):
+        with pytest.raises(ArithmeticError):
+            bareiss_minors(mat)
+        return
+    minors = bareiss_minors(mat)
+    assert len(minors) == n
+    for got, want in zip(minors, dets):
+        assert sympy.expand(to_sympy(got) - want) == 0
+    assert minors[-1] == cofactor_det(mat)
+
+
+def test_bareiss_minors_zero_pivot_raises():
     t = parse_poly(TS, "t")
-    one = MPoly.const(TS, 1)
-    sol = linear_solve_ratfun([[one, MPoly.zero(TS)], [MPoly.zero(TS), one]],
-                              [t, one - t])
-    assert rat_equal(sol[0], RatFun(t))
-    assert rat_equal(sol[1], RatFun(one - t))
-    # [[1, t], [0, 1-t]] x = [1, 1]  ->  x1 = 1 - t/(1-t), x2 = 1/(1-t)
-    sol = linear_solve_ratfun([[one, t], [MPoly.zero(TS), one - t]], [one, one])
-    assert rat_equal(sol[1], RatFun(one, one - t))
-    assert rat_equal(sol[0], RatFun(one) - RatFun(t, one - t))
-
-
-def test_linear_solve_random_systems():
-    rng = random.Random(19)
-    solved = 0
-    for _ in range(25):
-        n = rng.randint(1, 3)
-        mat = [[rand_poly(rng, max_terms=2, max_exp=1, max_coeff=2)
-                for _ in range(n)] for _ in range(n)]
-        rhs = [rand_poly(rng, max_terms=2, max_exp=1, max_coeff=2)
-               for _ in range(n)]
-        try:
-            x = linear_solve_ratfun(mat, rhs)
-        except ArithmeticError:
-            continue
-        for i in range(n):
-            acc = RatFun(MPoly.zero(TS))
-            for j in range(n):
-                acc = acc + RatFun(mat[i][j]) * x[j]
-            assert rat_equal(acc, RatFun(rhs[i]))
-        solved += 1
-    assert solved > 10
-
-
-def test_linear_solve_singular_raises():
-    t = parse_poly(TS, "t")
+    one, zero = MPoly.const(TS, 1), MPoly.zero(TS)
     with pytest.raises(ArithmeticError):
-        linear_solve_ratfun([[t, t], [t, t]], [t, MPoly.const(TS, 1)])
+        bareiss_minors([[zero, one], [one, zero]])
+    with pytest.raises(ArithmeticError):
+        bareiss_minors([[t, t, one], [t, t, zero], [one, zero, one]])
+    # the last minor is never divided by, so it may vanish
+    assert bareiss_minors([[one, t], [one, t]]) == [one, zero]
+    assert bareiss_minors([]) == []
 
 
 def test_parse_poly_roundtrip():

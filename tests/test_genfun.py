@@ -1,6 +1,7 @@
 """Tests for transfer-matrix generating functions."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from equihilb.automata import Alphabet, Dfa
 from equihilb.exactalg import VarSet, MPoly, RatFun, parse_poly, parse_ratfun, rat_equal
@@ -18,6 +19,8 @@ def test_weightfn_standard():
         WeightFn.standard(AB, VarSet(["t"]))
     with pytest.raises(ValueError):
         WeightFn(AB, TS, {"a": (1, 0)})  # missing tau
+    with pytest.raises(ValueError):
+        WeightFn(AB, TS, {"a": (1, 0), "tau": (0, 0)})  # constant weight
 
 
 def test_transfer_one_state_free_monoid():
@@ -74,3 +77,26 @@ def test_series_check_two_count_classes():
     assert rat_equal(f, parse_ratfun(vs3, "1/(1 - t - s - u)"))
     ok, bad = series_check(dfa, w, 4, (4, 4))
     assert ok and not bad
+
+
+@st.composite
+def small_dfas(draw):
+    letters = [("tau", ("count", 1)), ("a", ("content",)), ("b", ("content",))]
+    alphabet = Alphabet(letters[: draw(st.integers(2, 3))])
+    r = draw(st.integers(1, 4))
+    targets = st.none() | st.integers(0, r - 1)
+    trans = {}
+    for q in range(r):
+        for sym in alphabet.names:
+            q2 = draw(targets)
+            if q2 is not None:
+                trans[(q, sym)] = q2
+    accepts = draw(st.frozensets(st.integers(0, r - 1)))
+    return Dfa(alphabet, r, 0, accepts, trans)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(small_dfas())
+def test_series_check_random_partial_dfas(dfa):
+    ok, bad = series_check(dfa, WeightFn.standard(dfa.alphabet, TS), 5, (5,))
+    assert ok, bad
