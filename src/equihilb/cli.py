@@ -16,6 +16,8 @@ from .monoracle import (
     CONVENTIONS,
     GeneratorFamily,
     compare_report,
+    mono_str,
+    word_monomial_maps,
 )
 from .toric import (
     Binomial,
@@ -24,6 +26,7 @@ from .toric import (
     fiber_report,
     g2,
     gen_degree_stats,
+    image_targets,
     kernel_test,
     quadric_family,
     reduce_binomial,
@@ -164,6 +167,25 @@ def series(ctx, selector, c, a, a_c, b, b_c, expand, checked, unsafe, fmt):
     _emit(fmt, payload, lines)
 
 
+def _witness(lang, fam, report, conv):
+    """One line on the first unequal cell: a colliding word pair, else the
+    first oracle monomial no word gives, else the first word image the
+    oracle lacks; None when every cell is equal."""
+    cell = next((c for c in report["cells"] if not c["equal"]), None)
+    if cell is None:
+        return None
+    maps = word_monomial_maps(lang, fam, cell["n"], cell["d"], conv)
+    if maps["collision"] is not None:
+        word_a, word_b, image = maps["collision"]
+        what = "[%s] and [%s] both give %s" % (
+            " ".join(word_a), " ".join(word_b), mono_str(dict(image)))
+    elif maps["missing"]:
+        what = "no word gives %s" % mono_str(dict(maps["missing"][0]))
+    else:
+        what = "no oracle monomial is %s" % mono_str(dict(maps["extra"][0]))
+    return "witness d=%d n=%d: %s" % (cell["d"], cell["n"], what)
+
+
 @main.command()
 @click.argument("family", type=click.Choice(SINGLES))
 @click.option("--c", type=int, default=None)
@@ -195,10 +217,14 @@ def compare(ctx, family, c, conv, dmax, nmax, strict, unsafe, fmt):
             % (cell["d"], cell["n"], cell["language"], cell["oracle"], mark)
         )
     lines.append("all cells equal: %s" % report["all_equal"])
+    witness = _witness(lang, fam, report, conv)
+    if witness is not None:
+        lines.append(witness)
     payload = {
         "command": "compare",
         "params": {"family": family, "c": c, "conv": conv, "dmax": dmax, "nmax": nmax},
         "results": report,
+        "witness": witness,
     }
     if fmt == "csv":
         rows = ["d,n,language,oracle,equal"]
@@ -301,7 +327,7 @@ def parse_binomial(text):
     return Binomial(parse_edge_monomial(depth_split[0]), parse_edge_monomial(depth_split[1]))
 
 
-def _move_set(name, kind, c, n, degree_cap):
+def _move_set(name, c, n, degree_cap):
     if name == "none":
         return []
     if name == "quadrics":
@@ -336,26 +362,13 @@ def fibers(ctx, kind, c, n, degree, target, moves, exclude, unsafe, fmt):
         raise click.UsageError("need --target or --degree")
     use_shifts = moves == "gens"
     degree_cap = degree if degree is not None else SAFE_CAP
-    move_list = _move_set(moves, kind, c, n, degree_cap)
+    move_list = _move_set(moves, c, n, degree_cap)
     if exclude:
         move_list = [(lbl, b) for lbl, b in move_list if lbl not in exclude]
-    targets = []
     if target is not None:
-        targets.append(parse_x_monomial(target))
+        targets = [parse_x_monomial(target)]
     else:
-        from .toric import window_edges
-        import itertools as _it
-
-        seen = set()
-        for combo in _it.combinations_with_replacement(window_edges(kind, c, n), degree):
-            m = {}
-            for (i, j) in combo:
-                m[i] = m.get(i, 0) + 1
-                m[j] = m.get(j, 0) + 1
-            key = tuple(sorted(m.items()))
-            if key not in seen:
-                seen.add(key)
-                targets.append(dict(key))
+        targets = image_targets(kind, c, n, degree)
     reports = []
     lines = []
     disconnected = 0
@@ -399,20 +412,19 @@ def fibers(ctx, kind, c, n, degree, target, moves, exclude, unsafe, fmt):
 @toric.command()
 @click.option("--binomial", "binomial_text", required=True)
 @click.option("--moves", default="quadrics")
-@click.option("--map", "kind", type=click.Choice(["gap", "window-squares"]), default="window-squares")
 @click.option("--c", type=int, default=2)
 @click.option("--n", type=int, default=8)
 @click.option("--unsafe", is_flag=True)
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
 @click.pass_context
-def reduce(ctx, binomial_text, moves, kind, c, n, unsafe, fmt):
+def reduce(ctx, binomial_text, moves, c, n, unsafe, fmt):
     """Reduce a kernel binomial by a move set; report zero or the remainder."""
     _cap(ctx, c, "--c")
     _cap(ctx, n, "--n")
     h = parse_binomial(binomial_text)
     if not kernel_test(h):
         raise click.UsageError("not a kernel binomial: %s" % binomial_str(h))
-    move_list = _move_set(moves, kind, c, n, h.degree())
+    move_list = _move_set(moves, c, n, _cap(ctx, h.degree(), "binomial degree"))
     out = reduce_binomial(h, move_list)
     lines = [
         "input:     %s" % binomial_str(h),
@@ -421,7 +433,7 @@ def reduce(ctx, binomial_text, moves, kind, c, n, unsafe, fmt):
     ]
     payload = {
         "command": "toric reduce",
-        "params": {"binomial": binomial_text, "moves": moves, "map": kind, "c": c, "n": n},
+        "params": {"binomial": binomial_text, "moves": moves, "c": c, "n": n},
         "results": {"remainder": binomial_str(out), "zero": out.is_zero()},
     }
     _emit(fmt, payload, lines)

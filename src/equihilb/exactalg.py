@@ -412,12 +412,49 @@ def bareiss_minors(mat):
 
 
 def parse_poly(vars, text):
-    """Parse '(1-t)^2 - s' style text into an MPoly."""
-    try:
-        tree = ast.parse(text.replace("^", "**"), mode="eval")
-    except SyntaxError as e:
-        raise ValueError("bad polynomial text: %s" % text) from e
-    return _from_ast(vars, tree.body)
+    """Parse '(1-t)^2 - s' style text into an MPoly.
+
+    The terms of the top-level sum are parsed one at a time and summed in a
+    loop, so that a long sum, such as a printed series, needs no deep
+    recursion in the parser.
+    """
+    terms = {}
+    for term in _sum_terms(text.replace("^", "**")):
+        try:
+            tree = ast.parse(term, mode="eval")
+        except SyntaxError as e:
+            raise ValueError("bad polynomial text: %s" % text) from e
+        for e, c in _from_ast(vars, tree.body).terms.items():
+            terms[e] = terms.get(e, 0) + c
+    return MPoly(vars, terms)
+
+
+def _sum_terms(src):
+    """Cut src before each binary + or - outside parentheses; a term after
+    the first keeps its sign as a unary operator.  When the whole text is
+    one parenthesized group, its inside is cut and each term parenthesized
+    again, so that what the group allowed (spaces, line breaks) still holds."""
+    wrap = "%s"
+    while True:
+        cuts = [0]
+        depth = 0
+        prev = ""
+        first_close = None
+        for i, ch in enumerate(src):
+            if ch == "(":
+                depth += 1
+            elif ch == ")":
+                depth -= 1
+                if depth == 0 and first_close is None:
+                    first_close = i
+            elif ch in "+-" and depth == 0 and (prev.isalnum() or prev in ("_", ")")):
+                cuts.append(i)
+            if not ch.isspace():
+                prev = ch
+        if not (src.startswith("(") and first_close == len(src.rstrip()) - 1):
+            return [wrap % src[a:b] for a, b in zip(cuts, cuts[1:] + [len(src)])]
+        src = src[1:first_close]
+        wrap = "(%s)"
 
 
 def _from_ast(vars, node):

@@ -15,10 +15,35 @@ STRING_BOUNDED = "string-bounded"
 CONVENTIONS = (ALGEBRA, STRING_BOUNDED)
 
 
-def mono_mul(a, b):
-    out = dict(a)
-    for k, e in b.items():
-        out[k] = out.get(k, 0) + e
+def edge_spans(kind, c):
+    """Index distances j - i of the window edges (i, j) of a map kind."""
+    if kind == "gap":
+        return (1, 2)
+    if kind == "window-squares":
+        return range(c + 1)
+    raise ValueError("unknown map kind %r" % kind)
+
+
+def window_edges(kind, c, n):
+    """The edges (i, j) of window n, i <= n, in (i, j) order."""
+    spans = edge_spans(kind, c)
+    return [(i, i + sp) for i in range(1, n + 1) for sp in spans]
+
+
+def multiset(items):
+    """Counts of the items, as a plain dict."""
+    out = {}
+    for x in items:
+        out[x] = out.get(x, 0) + 1
+    return out
+
+
+def presentation_image(mono):
+    """x-monomial image of an edge monomial; diagonal edges square."""
+    out = {}
+    for (i, j), e in mono.items():
+        out[i] = out.get(i, 0) + e
+        out[j] = out.get(j, 0) + e
     return out
 
 
@@ -59,61 +84,38 @@ class GeneratorFamily:
 
     def generators(self, n):
         """Generators of the window-n algebra, as monomial dicts."""
-        out = []
-        if self.kind == "window-squares":
-            for i in range(1, n + 1):
-                for j in range(self.c + 1):
-                    out.append({i: 1, i + j: 1} if j else {i: 2})
-        elif self.kind == "gap":
-            for i in range(1, n + 1):
-                out.append({i: 1, i + 1: 1})
-                out.append({i: 1, i + 2: 1})
-        else:
-            for i in range(1, self.c + 1):
-                for j in range(1, n + 1):
-                    out.append({(i, j): 1})
-        return out
+        if self.kind == "poly-ring":
+            return [{(i, j): 1} for i in range(1, self.c + 1) for j in range(1, n + 1)]
+        return [presentation_image({e: 1}) for e in window_edges(self.kind, self.c, n)]
 
     def normal_strings(self, n, d):
-        """Canonical presentations of [Mon(A_n)]_d, string-bounded convention."""
+        """Canonical presentations of [Mon(A_n)]_d, string-bounded convention.
+
+        Pairs (a, a + span) with a <= n.  For window-squares the flat string
+        is sorted: the next a is at least the previous b.  For gap the pairs
+        are sorted, and after (a, a + 2) neither (a, a + 1) nor (a + 1, a + 3)
+        may follow.
+        """
         if self.kind == "poly-ring":
             raise ValueError("poly-ring has no pair strings")
+        spans = edge_spans(self.kind, self.c)
+        gap = self.kind == "gap"
         out = []
         cur = []
-        if self.kind == "window-squares":
-            # pairs (a,b), sorted flat string: next a >= previous b; a <= n
-            def rec(prev_b):
-                if len(cur) == d:
-                    out.append(tuple(cur))
-                    return
-                for a in range(prev_b, n + 1):
-                    for b in range(a, a + self.c + 1):
-                        cur.append((a, b))
-                        rec(b)
-                        cur.pop()
 
-            rec(1)
-        else:
+        def rec(pa, pb):
+            if len(cur) == d:
+                out.append(tuple(cur))
+                return
+            for a in range(pa if gap else pb, n + 1):
+                for j in spans:
+                    if gap and pb - pa == 2 and (a, j) in ((pa, 1), (pa + 1, 2)):
+                        continue
+                    cur.append((a, a + j))
+                    rec(a, a + j)
+                    cur.pop()
 
-            def rec(prev):
-                if len(cur) == d:
-                    out.append(tuple(cur))
-                    return
-                lo = prev[0] if prev else 1
-                for a in range(lo, n + 1):
-                    for j in (1, 2):
-                        if prev:
-                            pa, pb = prev
-                            pj = pb - pa
-                            if a == pa and pj > j:
-                                continue
-                            if a == pa + 1 and pj == 2 and j == 2:
-                                continue
-                        cur.append((a, a + j))
-                        rec((a, a + j))
-                        cur.pop()
-
-            rec(None)
+        rec(1, 1)
         return out
 
     def enumerate_monomials(self, n, d, conv):
@@ -130,100 +132,10 @@ class GeneratorFamily:
                         m[k] = m.get(k, 0) + e
                 out.add(mono_freeze(m))
             return out
-        out = set()
-        for pairs in self.normal_strings(n, d):
-            m = {}
-            for a, b in pairs:
-                m[a] = m.get(a, 0) + 1
-                m[b] = m.get(b, 0) + 1
-            out.add(mono_freeze(m))
-        return out
-
-    def normal_form(self, m):
-        """Canonical string presentation of a monomial of the limit algebra,
-        or None when the monomial is not a member."""
-        m = dict(m)
-        if self.kind == "poly-ring":
-            return tuple(sorted(m.items()))  # free algebra: the monomial itself
-        if sum(m.values()) % 2:
-            return None
-        if self.kind == "window-squares":
-            flat = []
-            for k in sorted(m):
-                flat.extend([k] * m[k])
-            pairs = [(flat[i], flat[i + 1]) for i in range(0, len(flat), 2)]
-            for a, b in pairs:
-                if b - a > self.c:
-                    return None
-            return tuple(pairs)
-        pairs = _gap_factor(m)
-        if pairs is None:
-            return None
-        return _gap_rewrite(pairs)
-
-    def is_member(self, m):
-        return self.normal_form(m) is not None
-
-
-def _gap_factor(m):
-    """Some factorization of m into pairs (i, i+1) or (i, i+2), else None."""
-    rem = dict(m)
-
-    def rec(acc):
-        if not rem:
-            return list(acc)
-        a = min(rem)
-        for j in (1, 2):
-            b = a + j
-            if not rem.get(b, 0):
-                continue
-            for k in (a, b):
-                rem[k] -= 1
-                if not rem[k]:
-                    del rem[k]
-            got = rec(acc + [(a, b)])
-            if got is not None:
-                return got
-            for k in (a, b):
-                rem[k] = rem.get(k, 0) + 1
-        return None
-
-    return rec([])
-
-
-def _gap_rewrite(pairs):
-    """Sort a pair factorization and rewrite adjacent-gap-2 clashes until the
-    canonical conditions hold; each rewrite trades two gap-2 pairs away."""
-    pairs = sorted(pairs)
-    while True:
-        groups = []
-        for p in pairs:
-            if groups and groups[-1][0] == p:
-                groups[-1][1] += 1
-            else:
-                groups.append([p, 1])
-        hit = None
-        for gi in range(len(groups) - 1):
-            (a1, b1), e1 = groups[gi]
-            (a2, b2), e2 = groups[gi + 1]
-            if b1 - a1 == 2 and b2 - a2 == 2 and a2 == a1 + 1:
-                hit = (gi, a1, e1, e2)
-                break
-        if hit is None:
-            return tuple(pairs)
-        gi, i, e1, e2 = hit
-        lo = min(e1, e2)
-        repl = [((i, i + 1), lo)]
-        if e1 >= e2:
-            if e1 > e2:
-                repl.append(((i, i + 2), e1 - e2))
-        else:
-            repl.append(((i + 1, i + 3), e2 - e1))
-        repl.append(((i + 2, i + 3), lo))
-        groups[gi : gi + 2] = [[p, e] for p, e in repl]
-        pairs = sorted(
-            itertools.chain.from_iterable([p] * e for p, e in groups)
-        )
+        return {
+            mono_freeze(presentation_image(multiset(pairs)))
+            for pairs in self.normal_strings(n, d)
+        }
 
 
 def hilbert_counts(family, nmax, dmax, conv):
@@ -238,20 +150,16 @@ def hilbert_counts(family, nmax, dmax, conv):
 def word_to_monomial(kind, word, tau, alpha_index):
     """Monomial image of an accepted word; letters become window generators,
     every size letter shifts what follows one step to the right."""
-    m = {}
+    keys = []
     k = 0
     for sym in word:
         if sym == tau:
             k += 1
         else:
             i = alpha_index[sym]
-            if kind == "poly-ring":
-                key = (i, k + 1)
-                m[key] = m.get(key, 0) + 1
-            else:
-                for key in (k + 1, k + 1 + i):
-                    m[key] = m.get(key, 0) + 1
-    return m
+            keys.append((i, k + 1) if kind == "poly-ring" else (k + 1, k + 1 + i))
+    m = multiset(keys)
+    return m if kind == "poly-ring" else presentation_image(m)
 
 
 def _letter_indices(lang):

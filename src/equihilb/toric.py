@@ -1,30 +1,27 @@
 """Toric side of the window presentations.
 
-Edge variables x[i,j] map to x_i*x_j; binomials live in the kernel iff both
-sides have equal images, iff every vertex weight of the difference graph
-vanishes (diagonal edges count twice).  Includes the recursive kernel
-family for the gap map, quadric families for the square maps, fiber-graph
-connectivity, and degree-reducing binomial reduction.
+Edge variables x[i,j] map to x_i*x_j (`monoracle.presentation_image`), and
+a binomial lies in the kernel iff both sides have equal images.  Includes
+the recursive kernel family for the gap map, quadric families for the
+square maps, fiber enumeration and fiber-graph connectivity, and
+degree-reducing binomial reduction.
 """
 
 import itertools
 
-from .monoracle import mono_freeze, mono_str
+from .monoracle import (
+    edge_spans,
+    mono_freeze,
+    mono_str,
+    multiset,
+    presentation_image,
+    window_edges,
+)
 
 
 def edge_valid(kind, c, n, edge):
     i, j = edge
-    if i < 1 or j < i:
-        return False
-    if kind == "gap":
-        if j - i not in (1, 2):
-            return False
-    elif kind == "window-squares":
-        if j - i > c:
-            return False
-    else:
-        raise ValueError("unknown map kind %r" % kind)
-    return n is None or i <= n
+    return i >= 1 and j - i in edge_spans(kind, c) and (n is None or i <= n)
 
 
 class Binomial:
@@ -52,14 +49,6 @@ class Binomial:
 
     def degree(self):
         return max(sum(self.u.values()), sum(self.v.values()))
-
-    def weights(self):
-        w = dict(self.u)
-        for e, k in self.v.items():
-            w[e] = w.get(e, 0) - k
-            if not w[e]:
-                del w[e]
-        return w
 
     def flipped(self):
         return Binomial(dict(self.v), dict(self.u), cancel=False)
@@ -94,39 +83,29 @@ class Binomial:
         return "Binomial(%s)" % binomial_str(self)
 
 
-def edge_str(m):
-    bits = []
-    for e in sorted(m):
-        name = "x[%d,%d]" % e
-        bits.append(name if m[e] == 1 else "%s^%d" % (name, m[e]))
-    return "*".join(bits) if bits else "1"
-
-
 def binomial_str(b):
     if b.is_zero():
         return "0"
-    return "%s - %s" % (edge_str(b.u), edge_str(b.v))
-
-
-def presentation_image(mono):
-    """x-monomial image of an edge monomial; diagonal edges square."""
-    out = {}
-    for (i, j), e in mono.items():
-        out[i] = out.get(i, 0) + e
-        out[j] = out.get(j, 0) + e
-    return out
-
-
-def vertex_weights(weights):
-    out = {}
-    for (i, j), w in weights.items():
-        out[i] = out.get(i, 0) + w
-        out[j] = out.get(j, 0) + w
-    return {v: w for v, w in out.items() if w}
+    return "%s - %s" % (mono_str(b.u), mono_str(b.v))
 
 
 def kernel_test(b):
-    return not vertex_weights(b.weights())
+    return presentation_image(b.u) == presentation_image(b.v)
+
+
+def apply_move(mono, u, v):
+    """mono * x^v / x^u as a dict, or None when x^u does not divide mono."""
+    for e, k in u.items():
+        if mono.get(e, 0) < k:
+            return None
+    out = dict(mono)
+    for e, k in u.items():
+        out[e] -= k
+        if not out[e]:
+            del out[e]
+    for e, k in v.items():
+        out[e] = out.get(e, 0) + k
+    return out
 
 
 def g2():
@@ -254,8 +233,7 @@ def build_gen_family(max_degree=None, max_span=None):
 
 def quadric_family(c, n):
     """Window-valid kernel quadrics of the square map with bandwidth c."""
-    out = []
-    seen = set()
+    out = set()
     for i in range(1, n + 1):
         for j in range(i, i + c):
             for k in range(j + 1, i + c + 1):
@@ -266,84 +244,55 @@ def quadric_family(c, n):
                     e2 = (min(k, ell), max(k, ell))
                     e3 = (i, k)
                     e4 = (min(j, ell), max(j, ell))
-                    edges = [e1, e2, e3, e4]
-                    if not all(edge_valid("window-squares", c, n, e) for e in edges):
+                    if not all(edge_valid("window-squares", c, n, e) for e in (e1, e2, e3, e4)):
                         continue
-                    u = {}
-                    for e in (e1, e2):
-                        u[e] = u.get(e, 0) + 1
-                    v = {}
-                    for e in (e3, e4):
-                        v[e] = v.get(e, 0) + 1
-                    b = Binomial(u, v)
-                    if b.is_zero():
-                        continue
-                    if b.key() in seen:
-                        continue
-                    seen.add(b.key())
-                    out.append(b)
-    out.sort(key=lambda b: b.key())
-    return out
+                    b = Binomial(multiset((e1, e2)), multiset((e3, e4)))
+                    if not b.is_zero():
+                        out.add(b)  # an equal binomial already in the set is kept
+    return sorted(out, key=Binomial.key)
 
 
-def window_edges(kind, c, n):
-    out = []
-    for i in range(1, n + 1):
-        if kind == "gap":
-            spans = (1, 2)
-        else:
-            spans = range(c + 1)
-        for sp in spans:
-            out.append((i, i + sp))
-    return out
+def edge_multisets(kind, c, n, d):
+    """Every degree-d multiset of window edges, with its x-monomial image."""
+    for combo in itertools.combinations_with_replacement(window_edges(kind, c, n), d):
+        m = multiset(combo)
+        yield m, presentation_image(m)
+
+
+def image_targets(kind, c, n, d):
+    """The distinct images of degree-d window edge multisets, in first-seen
+    order, as sorted dicts."""
+    seen = {}
+    for _, img in edge_multisets(kind, c, n, d):
+        seen.setdefault(mono_freeze(img), None)
+    return [dict(key) for key in seen]
 
 
 def enumerate_fiber(kind, c, n, target):
     """All window edge-monomials with the given x-monomial image."""
-    rem = {k: e for k, e in target.items() if e}
+    spans = edge_spans(kind, c)
     out = []
     acc = []
 
-    def choices(a):
-        if kind == "gap":
-            return [(a, a + 1), (a, a + 2)]
-        return [(a, a + sp) for sp in range(c + 1)]
-
-    def rec(floor):
+    def rec(rem, floor):
         if not rem:
-            out.append(mono_freeze(_edge_multiset(acc)))
+            out.append(mono_freeze(multiset(acc)))
             return
         a = min(rem)
         if a > n:
             return
-        for e in choices(a):
+        for sp in spans:
+            e = (a, a + sp)
             if e < floor:
                 continue
-            i, j = e
-            if i == j:
-                if rem.get(i, 0) < 2:
-                    continue
-            elif not (rem.get(i, 0) and rem.get(j, 0)):
-                continue
-            for k in {i, j}:
-                rem[k] -= 2 if i == j else 1
-                if not rem[k]:
-                    del rem[k]
-            acc.append(e)
-            rec(e)
-            acc.pop()
-            for k in {i, j}:
-                rem[k] = rem.get(k, 0) + (2 if i == j else 1)
+            rest = apply_move(rem, presentation_image({e: 1}), {})
+            if rest is not None:
+                acc.append(e)
+                rec(rest, e)
+                acc.pop()
 
-    rec((0, 0))
+    rec({k: e for k, e in target.items() if e}, (0, 0))
     return sorted(set(out))
-
-
-def _edge_multiset(edges):
-    m = {}
-    for e in edges:
-        m[e] = m.get(e, 0) + 1
-    return m
 
 
 def shifts_in_window(b, kind, c, n):
@@ -397,21 +346,16 @@ def fiber_report(kind, c, n, target, moves, use_shifts=True):
         fd = dict(f)
         for label, b in mat:
             for u, v in ((b.u, b.v), (b.v, b.u)):
-                if all(fd.get(e, 0) >= k for e, k in u.items()):
-                    g = dict(fd)
-                    for e, k in u.items():
-                        g[e] -= k
-                        if not g[e]:
-                            del g[e]
-                    for e, k in v.items():
-                        g[e] = g.get(e, 0) + k
-                    gf = mono_freeze(g)
-                    if gf in index and uf.union(index[f], index[gf]):
-                        used.add(label)
+                g = apply_move(fd, u, v)
+                if g is None:
+                    continue
+                gf = mono_freeze(g)
+                if gf in index and uf.union(index[f], index[gf]):
+                    used.add(label)
     comps = {}
     for f in fiber:
         comps.setdefault(uf.find(index[f]), []).append(f)
-    components = sorted(sorted(_edge_mono_str(f) for f in comp) for comp in comps.values())
+    components = sorted(sorted(mono_str(dict(f)) for f in comp) for comp in comps.values())
     return {
         "target": mono_str(target),
         "fiber_size": len(fiber),
@@ -419,10 +363,6 @@ def fiber_report(kind, c, n, target, moves, use_shifts=True):
         "connected": len(components) <= 1,
         "moves_used": sorted(used),
     }
-
-
-def _edge_mono_str(frozen):
-    return edge_str(dict(frozen))
 
 
 def reduce_binomial(h, moves):
@@ -435,38 +375,26 @@ def reduce_binomial(h, moves):
         raise ValueError("input binomial is not in the kernel")
     h = Binomial(dict(h.u), dict(h.v))
     while not h.is_zero():
-        progress = False
-        maxv = h.max_vertex()
-        for _, b in moves:
-            lo = 1 - b.min_vertex()
-            hi = maxv - b.min_vertex()
-            for k in range(lo, hi + 1):
-                s = b.shifted(k)
-                for u, v in ((s.u, s.v), (s.v, s.u)):
-                    for a, bb in ((h.u, h.v), (h.v, h.u)):
-                        if not all(a.get(e, 0) >= kk for e, kk in u.items()):
-                            continue
-                        cand = dict(a)
-                        for e, kk in u.items():
-                            cand[e] -= kk
-                            if not cand[e]:
-                                del cand[e]
-                        for e, kk in v.items():
-                            cand[e] = cand.get(e, 0) + kk
-                        t = sum(min(cand.get(e, 0), bb.get(e, 0)) for e in cand)
-                        if t > 0:
-                            h = Binomial(cand, dict(bb))
-                            progress = True
-                            break
-                    if progress:
-                        break
-                if progress:
-                    break
-            if progress:
-                break
-        if not progress:
+        lower = _first_reduction(h, moves)
+        if lower is None:
             return h
+        h = lower
     return h
+
+
+def _first_reduction(h, moves):
+    """h after the first move or shift that shares an edge with the other
+    side once applied, so that cancelling lowers the degree; else None."""
+    maxv = h.max_vertex()
+    for _, b in moves:
+        for k in range(1 - b.min_vertex(), maxv - b.min_vertex() + 1):
+            s = b.shifted(k)
+            for u, v in ((s.u, s.v), (s.v, s.u)):
+                for a, other in ((h.u, h.v), (h.v, h.u)):
+                    cand = apply_move(a, u, v)
+                    if cand is not None and not cand.keys().isdisjoint(other):
+                        return Binomial(cand, dict(other))
+    return None
 
 
 def gen_degree_stats(nmin, nmax):
@@ -504,15 +432,12 @@ def minimal_generator_degrees(kind, c, n, dmax):
     A fiber contributes (components - 1) minimal generators in its degree,
     components taken under the share-a-variable adjacency.
     """
-    edges = window_edges(kind, c, n)
     out = {}
     for d in range(2, dmax + 1):
         total = 0
         fibers = {}
-        for combo in itertools.combinations_with_replacement(range(len(edges)), d):
-            m = _edge_multiset([edges[i] for i in combo])
-            img = mono_freeze(presentation_image(m))
-            fibers.setdefault(img, []).append(mono_freeze(m))
+        for m, img in edge_multisets(kind, c, n, d):
+            fibers.setdefault(mono_freeze(img), []).append(mono_freeze(m))
         for group in fibers.values():
             if len(group) < 2:
                 continue

@@ -1,7 +1,6 @@
 """Acceptance gate: one test per shipped claim, timed, with a one-line
 verdict each (see the terminal summary section)."""
 
-import itertools
 import math
 import time
 
@@ -42,11 +41,11 @@ from equihilb.toric import (
     fiber_report,
     g2,
     gen_degree_stats,
+    image_targets,
     kernel_test,
     minimal_generator_degrees,
     presentation_image,
     quadric_family,
-    window_edges,
 )
 
 TS = VarSet(["t", "s"])
@@ -65,20 +64,6 @@ def all_pairs():
         builtin_pair("segre", "poly-ring", 1, "poly-ring", 1),
         builtin_pair("concat", "window-squares", 1, "poly-ring", 1),
     ]
-
-
-def image_targets(kind, c, n, degree):
-    seen = set()
-    for combo in itertools.combinations_with_replacement(
-            window_edges(kind, c, n), degree):
-        m = {}
-        for (i, j) in combo:
-            m[i] = m.get(i, 0) + 1
-            m[j] = m.get(j, 0) + 1
-        key = tuple(sorted(m.items()))
-        if key not in seen:
-            seen.add(key)
-            yield dict(key)
 
 
 def test_criterion_01_transfer_golden():

@@ -121,6 +121,20 @@ def test_compare_window_squares_algebra_flags_cell():
     assert "d=2 n=1 language=2 oracle=3 MISMATCH" in res.output
 
 
+def test_compare_prints_witness():
+    res = run("compare", "gap", "--conv", "string-bounded", "--dmax", "3", "--nmax", "3")
+    assert res.exit_code == 0
+    assert res.output.splitlines()[-1] == (
+        "witness d=3 n=3: [a1 tau a1 tau a1] and [a2 tau a1 a2 tau] both give x1*x2^2*x3^2*x4")
+    res = run("compare", "gap", "--conv", "algebra", "--dmax", "2", "--nmax", "2",
+              "--format", "json")
+    data = json.loads(res.output)
+    assert data["witness"] == "witness d=2 n=2: no word gives x1*x2*x3*x4"
+    assert set(data["results"]) == {"family", "convention", "all_equal", "cells"}
+    res = run("compare", "window-squares", "--c", "1", "--format", "json")
+    assert json.loads(res.output)["witness"] is None
+
+
 def test_compare_strict_exit_codes():
     res = run("compare", "gap", "--conv", "algebra", "--dmax", "2",
               "--nmax", "2", "--strict")
@@ -197,10 +211,14 @@ def test_toric_fibers_degree_sweep():
 
 def test_toric_reduce():
     res = run("toric", "reduce", "--binomial",
-              "x[1,1]*x[2,2] - x[1,2]^2", "--map", "window-squares",
-              "--c", "1", "--n", "4")
+              "x[1,1]*x[2,2] - x[1,2]^2", "--c", "1", "--n", "4")
     assert res.exit_code == 0
     assert "reduced to zero: True" in res.output
+    # the gens move set grows like Fibonacci in the binomial's degree
+    res = run("toric", "reduce", "--moves", "gens", "--binomial",
+              "x[1,2]^15*x[3,4]^15 - x[1,3]^15*x[2,4]^15")
+    assert res.exit_code == 2
+    assert "binomial degree=30" in res.output and "--unsafe" in res.output
     res = run("toric", "reduce", "--binomial", "x[1,2] - x[1,3]")
     assert res.exit_code == 2
     assert "not a kernel binomial" in res.output

@@ -257,8 +257,18 @@ def test_parse_poly_roundtrip():
         p = rand_poly(rng)
         assert parse_poly(TS, poly_to_text(p)) == p
     assert parse_poly(TS, "(1 - t)^2") == parse_poly(TS, "1 - 2*t + t^2")
-    with pytest.raises(ValueError):
-        parse_poly(TS, "t + q")
+    assert parse_poly(TS, "( 1 -\n t)") == parse_poly(TS, "1 - t")
+    for text, msg in (("t + q", "unknown variable"), ("t +", "bad polynomial text"),
+                      ("t / s", "unsupported operator"), ("t^s", "integer literal"),
+                      ("2.5*t", "non-integer constant")):
+        with pytest.raises(ValueError, match=msg):
+            parse_poly(TS, text)
+    # long sums parse term by term, also inside one pair of parentheses
+    big = MPoly(TS, {(i, j): (-1) ** j * (i + 1) for i in range(100) for j in range(50)})
+    assert parse_poly(TS, poly_to_text(big)) == big
+    part = MPoly(TS, {e: c for e, c in big.terms.items() if e[0] < 24})
+    f = parse_ratfun(TS, "(%s)/(1 - t)" % poly_to_text(part))
+    assert rat_equal(f, RatFun(part, parse_poly(TS, "1 - t")))
 
 
 def test_parse_ratfun_roundtrip():

@@ -4,19 +4,23 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from equihilb.monoracle import mono_freeze, mono_str, multiset
 from equihilb.toric import (
     Binomial,
     GenElement,
     g2,
     binomial_str,
-    edge_str,
     edge_valid,
     window_edges,
     presentation_image,
     kernel_test,
+    apply_move,
     build_gen_family,
     quadric_family,
+    edge_multisets,
+    image_targets,
     enumerate_fiber,
     shifts_in_window,
     fiber_report,
@@ -41,8 +45,8 @@ def test_binomial_basics():
 
 
 def test_string_forms():
-    assert edge_str({(1, 2): 2, (3, 4): 1}) == "x[1,2]^2*x[3,4]"
-    assert edge_str({}) == "1"
+    assert mono_str({(1, 2): 2, (3, 4): 1}) == "x[1,2]^2*x[3,4]"
+    assert mono_str({}) == "1"
     assert binomial_str(g2()) == "x[1,2]*x[3,4] - x[1,3]*x[2,4]"
     assert binomial_str(Binomial({(1, 2): 1}, {(1, 2): 1})) == "0"
 
@@ -151,6 +155,54 @@ def test_enumerate_fiber():
     assert enumerate_fiber("gap", None, 3, {1: 1}) == []
 
 
+KINDS = st.sampled_from([("gap", None)] + [("window-squares", c) for c in range(3)])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(KINDS, st.integers(1, 5), st.integers(1, 4))
+def test_edge_multisets_grouped_by_image_are_the_fibers(kind_c, n, d):
+    kind, c = kind_c
+    groups = {}
+    for m, img in edge_multisets(kind, c, n, d):
+        assert sum(m.values()) == d and img == presentation_image(m)
+        groups.setdefault(mono_freeze(img), []).append(mono_freeze(m))
+    targets = image_targets(kind, c, n, d)
+    assert [mono_freeze(t) for t in targets] == list(groups)
+    for t in targets:
+        assert list(t) == sorted(t)
+        assert enumerate_fiber(kind, c, n, t) == sorted(groups[mono_freeze(t)])
+
+
+@st.composite
+def moves_on_monomials(draw):
+    kind, c = draw(KINDS)
+    edges = st.lists(st.sampled_from(window_edges(kind, c, draw(st.integers(1, 5)))),
+                     min_size=2, max_size=4)
+    u_edges = draw(edges)
+    u = multiset(u_edges)
+    if draw(st.booleans()):
+        fiber = enumerate_fiber(kind, c, max(i for i, _ in u_edges), presentation_image(u))
+        v = dict(draw(st.sampled_from([f for f in fiber if dict(f) != u] or fiber)))
+    else:
+        v = multiset(draw(edges))
+    m = multiset(draw(edges) + (u_edges if draw(st.booleans()) else []))
+    return m, u, v
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(moves_on_monomials())
+def test_apply_move_round_trips_and_kernel_moves_keep_the_image(muv):
+    m, u, v = muv
+    moved = apply_move(m, u, v)
+    if moved is None:
+        assert any(m.get(e, 0) < k for e, k in u.items())
+        return
+    assert apply_move(moved, v, u) == m
+    assert all(k > 0 for k in moved.values())
+    if kernel_test(Binomial(u, v)):
+        assert presentation_image(moved) == presentation_image(m)
+
+
 def test_shifts_in_window():
     shifts = shifts_in_window(g2(), "gap", None, 5)
     assert [(k, binomial_str(b)) for k, b in shifts] == [
@@ -191,10 +243,7 @@ def gap_string_monomials(n, dmax):
     fam = GeneratorFamily("gap")
     for d in range(1, dmax + 1):
         for w in fam.normal_strings(n, d):
-            mono = {}
-            for e in w:
-                mono[e] = mono.get(e, 0) + 1
-            yield mono
+            yield multiset(w)
 
 
 def test_gap_fibers_connected_small():
