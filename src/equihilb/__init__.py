@@ -15,8 +15,6 @@ from .exactalg import (
 from .automata import (
     Alphabet,
     Dfa,
-    Nfa,
-    determinize_trim_minimize,
     dp_count,
     enumerate_words,
     hom_preimage,

@@ -61,138 +61,6 @@ class Alphabet:
         )
 
 
-class Regex:
-    def __or__(self, other):
-        return RUnion(self, other)
-
-    def __add__(self, other):
-        return RCat(self, other)
-
-    def star(self):
-        return RStar(self)
-
-
-class RSym(Regex):
-    __slots__ = ("name",)
-
-    def __init__(self, name):
-        self.name = name
-
-
-class REps(Regex):
-    pass
-
-
-class RUnion(Regex):
-    __slots__ = ("a", "b")
-
-    def __init__(self, a, b):
-        self.a, self.b = a, b
-
-
-class RCat(Regex):
-    __slots__ = ("a", "b")
-
-    def __init__(self, a, b):
-        self.a, self.b = a, b
-
-
-class RStar(Regex):
-    __slots__ = ("a",)
-
-    def __init__(self, a):
-        self.a = a
-
-
-def rx_any(names):
-    out = None
-    for n in names:
-        out = RSym(n) if out is None else RUnion(out, RSym(n))
-    if out is None:
-        raise ValueError("empty union")
-    return out
-
-
-def rx_cat(parts):
-    out = None
-    for p in parts:
-        out = p if out is None else RCat(out, p)
-    return REps() if out is None else out
-
-
-def rx_word(names):
-    return rx_cat([RSym(n) for n in names]) if names else REps()
-
-
-class Nfa:
-    """Thompson-style NFA with epsilon moves."""
-
-    __slots__ = ("alphabet", "r", "start", "accepts", "trans", "eps")
-
-    def __init__(self, alphabet):
-        self.alphabet = alphabet
-        self.r = 0
-        self.start = None
-        self.accepts = set()
-        self.trans = {}
-        self.eps = {}
-
-    def add_state(self):
-        q = self.r
-        self.r += 1
-        return q
-
-    def add_edge(self, p, sym, q):
-        self.trans.setdefault((p, sym), set()).add(q)
-
-    def add_eps(self, p, q):
-        self.eps.setdefault(p, set()).add(q)
-
-    @classmethod
-    def from_regex(cls, regex, alphabet):
-        nfa = cls(alphabet)
-
-        def build(rx):
-            if isinstance(rx, RSym):
-                if rx.name not in alphabet.kinds:
-                    raise ValueError("symbol %r not in alphabet" % rx.name)
-                a, b = nfa.add_state(), nfa.add_state()
-                nfa.add_edge(a, rx.name, b)
-                return a, b
-            if isinstance(rx, REps):
-                a, b = nfa.add_state(), nfa.add_state()
-                nfa.add_eps(a, b)
-                return a, b
-            if isinstance(rx, RUnion):
-                a1, b1 = build(rx.a)
-                a2, b2 = build(rx.b)
-                a, b = nfa.add_state(), nfa.add_state()
-                nfa.add_eps(a, a1)
-                nfa.add_eps(a, a2)
-                nfa.add_eps(b1, b)
-                nfa.add_eps(b2, b)
-                return a, b
-            if isinstance(rx, RCat):
-                a1, b1 = build(rx.a)
-                a2, b2 = build(rx.b)
-                nfa.add_eps(b1, a2)
-                return a1, b2
-            if isinstance(rx, RStar):
-                a1, b1 = build(rx.a)
-                a, b = nfa.add_state(), nfa.add_state()
-                nfa.add_eps(a, a1)
-                nfa.add_eps(a, b)
-                nfa.add_eps(b1, a1)
-                nfa.add_eps(b1, b)
-                return a, b
-            raise TypeError("not a regex: %r" % (rx,))
-
-        a, b = build(regex)
-        nfa.start = a
-        nfa.accepts = {b}
-        return nfa
-
-
 class Dfa:
     """Partial deterministic automaton; missing transition means reject."""
 
@@ -205,22 +73,6 @@ class Dfa:
         self.accepts = frozenset(accepts)
         self.trans = dict(trans)
         self.state_names = list(state_names) if state_names else None
-
-    def step(self, q, sym):
-        return self.trans.get((q, sym))
-
-    def walk(self, word, q=None):
-        if q is None:
-            q = self.start
-        for sym in word:
-            q = self.trans.get((q, sym))
-            if q is None:
-                return None
-        return q
-
-    def accepts_word(self, word):
-        q = self.walk(word)
-        return q is not None and q in self.accepts
 
     def name_of(self, q):
         if self.state_names:
@@ -265,87 +117,14 @@ class Dfa:
         return "\n".join(lines) + "\n"
 
 
-def _eps_closure(nfa, states):
-    out = set(states)
-    stack = list(states)
-    while stack:
-        q = stack.pop()
-        for q2 in nfa.eps.get(q, ()):
-            if q2 not in out:
-                out.add(q2)
-                stack.append(q2)
-    return frozenset(out)
-
-
-def determinize(nfa):
-    """Subset construction; keeps only nonempty targets (partial DFA)."""
-    start = _eps_closure(nfa, {nfa.start})
-    states = {start: 0}
-    order = [start]
-    trans = {}
-    i = 0
-    while i < len(order):
-        cur = order[i]
-        i += 1
-        for sym in nfa.alphabet.names:
-            nxt = set()
-            for q in cur:
-                nxt |= nfa.trans.get((q, sym), set())
-            if not nxt:
-                continue
-            nxt = _eps_closure(nfa, nxt)
-            if nxt not in states:
-                states[nxt] = len(order)
-                order.append(nxt)
-            trans[(states[cur], sym)] = states[nxt]
-    accepts = {states[S] for S in order if S & nfa.accepts}
-    return Dfa(nfa.alphabet, len(order), 0, accepts, trans)
-
-
-def trim(dfa):
-    """Drop states that cannot reach an accepting state (or the start cannot reach)."""
-    fwd = {dfa.start}
-    stack = [dfa.start]
-    while stack:
-        q = stack.pop()
-        for sym in dfa.alphabet.names:
-            q2 = dfa.trans.get((q, sym))
-            if q2 is not None and q2 not in fwd:
-                fwd.add(q2)
-                stack.append(q2)
-    rev = {}
-    for (p, sym), q in dfa.trans.items():
-        rev.setdefault(q, set()).add(p)
-    bwd = set(dfa.accepts)
-    stack = list(bwd)
-    while stack:
-        q = stack.pop()
-        for p in rev.get(q, ()):
-            if p not in bwd:
-                bwd.add(p)
-                stack.append(p)
-    alive = fwd & bwd
-    if dfa.start not in alive:
-        # empty language: single non-accepting start, no edges
-        return Dfa(dfa.alphabet, 1, 0, set(), {})
-    trans = {
-        (p, sym): q for (p, sym), q in dfa.trans.items() if p in alive and q in alive
-    }
-    keep = [dfa.start] + sorted(q for q in alive if q != dfa.start)
-    remap = {q: j for j, q in enumerate(keep)}
-    names = [dfa.name_of(q) for q in keep] if dfa.state_names else None
-    return Dfa(
-        dfa.alphabet,
-        len(keep),
-        0,
-        {remap[q] for q in dfa.accepts if q in alive},
-        {(remap[p], sym): remap[q] for (p, sym), q in trans.items()},
-        names,
-    ).renumbered()
-
-
 def minimize(dfa):
-    """Moore partition refinement with an implicit reject sink."""
+    """Moore partition refinement with an implicit reject sink.
+
+    Dead states fall into the sink's block and unreachable ones are dropped,
+    so every state of the result is reachable and can still accept, except
+    the lone start state of an empty language; states are numbered
+    canonically (see renumbered).
+    """
     SINK = dfa.r
     block = {}
     for q in range(dfa.r):
@@ -389,12 +168,11 @@ def minimize(dfa):
     return out.renumbered()
 
 
-def determinize_trim_minimize(nfa):
-    return minimize(trim(determinize(nfa)))
-
-
 def intersect(a, b):
-    """Trimmed product automaton; both inputs over the same alphabet."""
+    """Reachable product automaton; both inputs over the same alphabet.
+
+    Pairs from which no accepting pair is reachable stay until minimize.
+    """
     if a.alphabet != b.alphabet:
         raise ValueError("alphabet mismatch")
     start = (a.start, b.start)
@@ -420,7 +198,7 @@ def intersect(a, b):
         for (q1, q2) in order
         if q1 in a.accepts and q2 in b.accepts
     }
-    return trim(Dfa(a.alphabet, len(order), 0, accepts, trans))
+    return Dfa(a.alphabet, len(order), 0, accepts, trans)
 
 
 def hom_preimage(dfa, alphabet, hom):
@@ -525,7 +303,7 @@ def enumerate_words(dfa, profile):
 def language_agrees(dfa, predicate, maxlen, require_prefix_closed=True):
     """Check dfa vs predicate on all words up to maxlen.
 
-    Prunes subtrees where the (trimmed) DFA is dead and the predicate is
+    Prunes subtrees where the DFA has no transition and the predicate is
     false; sound for prefix-closed predicates, which is also checked along
     the way.  Returns (ok, first_counterexample_or_None, words_checked).
     """

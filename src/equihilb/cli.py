@@ -33,6 +33,9 @@ from .toric import (
 )
 
 SAFE_CAP = 10
+# toric degree-stats builds the kernel family for each window n, and the
+# family grows exponentially with n
+DEGREE_STATS_MAX = 40
 SINGLES = ("poly-ring", "window-squares", "gap")
 PAIRS = ("segre", "concat")
 
@@ -360,15 +363,15 @@ def fibers(ctx, kind, c, n, degree, target, moves, exclude, unsafe, fmt):
         moves = "gens" if kind == "gap" else "quadrics"
     if target is None and degree is None:
         raise click.UsageError("need --target or --degree")
+    if target is not None:
+        tgt = parse_x_monomial(target)
+        _cap(ctx, (sum(tgt.values()) + 1) // 2, "target degree")
     use_shifts = moves == "gens"
     degree_cap = degree if degree is not None else SAFE_CAP
     move_list = _move_set(moves, c, n, degree_cap)
     if exclude:
         move_list = [(lbl, b) for lbl, b in move_list if lbl not in exclude]
-    if target is not None:
-        targets = [parse_x_monomial(target)]
-    else:
-        targets = image_targets(kind, c, n, degree)
+    targets = [tgt] if target is not None else image_targets(kind, c, n, degree)
     reports = []
     lines = []
     disconnected = 0
@@ -445,6 +448,14 @@ def reduce(ctx, binomial_text, moves, c, n, unsafe, fmt):
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
 def degree_stats(nmin, nmax, fmt):
     """Max fitting degree of the kernel family vs the closed formula."""
+    for value, what in ((nmin, "--nmin"), (nmax, "--nmax")):
+        if value < 0:
+            raise click.UsageError("%s=%d must not be negative" % (what, value))
+    if nmax > DEGREE_STATS_MAX:
+        raise click.UsageError(
+            "--nmax=%d exceeds the limit %d; the kernel family grows "
+            "exponentially with the window" % (nmax, DEGREE_STATS_MAX)
+        )
     rows = gen_degree_stats(nmin, nmax)
     lines = []
     for r in rows:

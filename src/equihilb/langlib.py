@@ -10,17 +10,10 @@ from .exactalg import TS, TSS, MPoly, RatFun, parse_ratfun
 from .automata import (
     Alphabet,
     Dfa,
-    Nfa,
-    REps,
-    RStar,
-    determinize_trim_minimize,
     hom_preimage,
     intersect,
     language_agrees,
     minimize,
-    rx_any,
-    rx_cat,
-    RSym,
 )
 from .genfun import WeightFn, transfer_series
 
@@ -36,7 +29,6 @@ class FiltrationLanguage:
         dfa,
         predicate,
         offset_exp,
-        regex=None,
         alt_dfa=None,
         reference_series=(),
         notes="",
@@ -49,7 +41,6 @@ class FiltrationLanguage:
         self.dfa = dfa
         self.predicate = predicate
         self.offset_exp = tuple(offset_exp)
-        self.regex = regex
         self.alt_dfa = alt_dfa
         self.reference_series = list(reference_series)
         self.notes = notes
@@ -177,15 +168,6 @@ def lang_window_squares(c, tau="tau", alpha="a"):
                 run = 0
         return True
 
-    # closed regex: {tau, a0, a1 tau, ..., ac tau^c}* {eps, a0, ..., ac} {tau}*
-    block = RSym(tau)
-    for i, a in enumerate(alphas):
-        block = block | rx_cat([RSym(a)] + [RSym(tau)] * i)
-    tail = REps()
-    for a in alphas:
-        tail = tail | RSym(a)
-    regex = RStar(block) + tail + RStar(RSym(tau))
-
     t = MPoly.var(TS, "t")
     s = MPoly.var(TS, "s")
     geom = MPoly.zero(TS)
@@ -203,7 +185,6 @@ def lang_window_squares(c, tau="tau", alpha="a"):
         dfa,
         predicate,
         (0, 1),
-        regex=regex,
         alt_dfa=alt_dfa,
         reference_series=[("closed form", closed), ("alt closed form", alt_closed)],
         notes=(
@@ -311,9 +292,12 @@ def lang_segre(a, b, checked=False, check_len=6):
 
     pre_a = hom_preimage(a.dfa, alphabet, hom_a)
     pre_b = hom_preimage(b.dfa, alphabet, hom_b)
-    block = RStar(rx_any(taus_a)) + RStar(rx_any(taus_b)) + rx_any(sorted(gammas))
-    scaffold = RStar(block) + RStar(rx_any(taus_a)) + RStar(rx_any(taus_b))
-    scaffold_dfa = determinize_trim_minimize(Nfa.from_regex(scaffold, alphabet))
+    # blocks tau_a* tau_b* g: state 1 has read a tau_b since the last g
+    scaffold = {(0, n): 0 for n in taus_a}
+    for q in (0, 1):
+        scaffold.update({(q, n): 1 for n in taus_b})
+        scaffold.update({(q, g): 0 for g in gammas})
+    scaffold_dfa = Dfa(alphabet, 2, 0, {0, 1}, scaffold)
     dfa = minimize(intersect(intersect(pre_a, pre_b), scaffold_dfa))
 
     set_a, set_b = set(taus_a), set(taus_b)
@@ -348,19 +332,18 @@ def lang_concat(a, b, checked=False, check_len=6):
     """Words of a followed by words of b; counts convolve over content degree."""
     _check_pair(a, b)
     alphabet = _reclass(a.alphabet, 1).merged(_reclass(b.alphabet, 2))
-    nfa = Nfa(alphabet)
-    for _ in range(a.dfa.r + b.dfa.r):
-        nfa.add_state()
+    # the letter sets are disjoint, so every accepting state of a can also
+    # take b's first step without making the machine nondeterministic
     off = a.dfa.r
-    for (p, sym), q in a.dfa.trans.items():
-        nfa.add_edge(p, sym, q)
-    for (p, sym), q in b.dfa.trans.items():
-        nfa.add_edge(off + p, sym, off + q)
-    for q in a.dfa.accepts:
-        nfa.add_eps(q, off + b.dfa.start)
-    nfa.start = a.dfa.start
-    nfa.accepts = {off + q for q in b.dfa.accepts}
-    dfa = determinize_trim_minimize(nfa)
+    first = {sym: off + q for (p, sym), q in b.dfa.trans.items() if p == b.dfa.start}
+    trans = dict(a.dfa.trans)
+    trans.update({(off + p, sym): off + q for (p, sym), q in b.dfa.trans.items()})
+    for p in a.dfa.accepts:
+        trans.update({(p, sym): q for sym, q in first.items()})
+    accepts = {off + q for q in b.dfa.accepts}
+    if b.dfa.start in b.dfa.accepts:
+        accepts |= a.dfa.accepts
+    dfa = minimize(Dfa(alphabet, off + b.dfa.r, a.dfa.start, accepts, trans))
 
     set_a = set(a.alphabet.names)
 

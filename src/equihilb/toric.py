@@ -50,9 +50,6 @@ class Binomial:
     def degree(self):
         return max(sum(self.u.values()), sum(self.v.values()))
 
-    def flipped(self):
-        return Binomial(dict(self.v), dict(self.u), cancel=False)
-
     def shifted(self, k):
         return Binomial(
             {(i + k, j + k): e for (i, j), e in self.u.items()},

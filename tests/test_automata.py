@@ -1,24 +1,15 @@
-"""Tests for alphabets, regexes, automata and word counting."""
+"""Tests for alphabets, automata and word counting."""
 
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from equihilb.automata import (
     Alphabet,
     Dfa,
-    Nfa,
-    REps,
-    RStar,
-    RSym,
-    rx_any,
-    rx_cat,
-    rx_word,
-    determinize,
-    trim,
     minimize,
-    determinize_trim_minimize,
     intersect,
     hom_preimage,
     dp_count,
@@ -27,11 +18,28 @@ from equihilb.automata import (
 )
 
 AB = Alphabet([("tau", ("count", 1)), ("a", ("content",)), ("b", ("content",))])
+# (a tau)*
+A_TAU = Dfa(AB, 2, 0, frozenset({0}), {(0, "a"): 1, (1, "tau"): 0})
+# (a|b|tau)*
+ANY = Dfa(AB, 1, 0, frozenset({0}), {(0, sym): 0 for sym in AB.names})
 
 
 def all_words(names, maxlen):
     for length in range(maxlen + 1):
         yield from itertools.product(names, repeat=length)
+
+
+def accepts(dfa, word):
+    q = dfa.start
+    for sym in word:
+        q = dfa.trans.get((q, sym))
+        if q is None:
+            return False
+    return q in dfa.accepts
+
+
+def same_dfa(d1, d2):
+    return (d1.r, d1.start, d1.accepts, d1.trans) == (d2.r, d2.start, d2.accepts, d2.trans)
 
 
 def test_alphabet_kinds():
@@ -49,51 +57,21 @@ def test_alphabet_kinds():
         Alphabet([("x", ("weird",))])
 
 
-def test_regex_to_dfa_membership():
-    # (a|b)* tau*   via operator sugar
-    rx = rx_any(["a", "b"]).star() + RSym("tau").star()
-    dfa = determinize_trim_minimize(Nfa.from_regex(rx, AB))
-
-    def pred(w):
-        w = list(w)
-        i = 0
-        while i < len(w) and w[i] in ("a", "b"):
-            i += 1
-        return all(c == "tau" for c in w[i:])
-
-    for w in all_words(AB.names, 5):
-        assert dfa.accepts_word(w) == pred(w), w
-
-
-def test_regex_atoms():
-    eps = determinize_trim_minimize(Nfa.from_regex(REps(), AB))
-    assert eps.accepts_word(())
-    assert not eps.accepts_word(("a",))
-    word = determinize_trim_minimize(Nfa.from_regex(rx_word(["a", "tau", "b"]), AB))
-    assert word.accepts_word(("a", "tau", "b"))
-    assert not word.accepts_word(("a", "tau"))
-    assert not word.accepts_word(("a", "tau", "b", "b"))
-    assert rx_cat([]).__class__ is REps
-    with pytest.raises(ValueError):
-        rx_any([])
-
-
 def test_minimize_collapses():
-    # a*|(aa)* recognizes the same language as a*
-    rx = RStar(RSym("a")) | RStar(rx_word(["a", "a"]))
-    dfa = determinize_trim_minimize(Nfa.from_regex(rx, AB))
+    # a* written with three states, as a*|(aa)* unfolds
+    dfa = minimize(Dfa(AB, 3, 0, frozenset({0, 1, 2}),
+                       {(0, "a"): 1, (1, "a"): 2, (2, "a"): 1}))
     assert dfa.r == 1
     assert dfa.accepts == frozenset({0})
     again = minimize(dfa)
     assert again.r == dfa.r and again.accepts == dfa.accepts
 
 
-def test_trim_empty_language():
+def test_minimize_empty_language():
     dead = Dfa(AB, 2, 0, frozenset(), {(0, "a"): 1, (1, "b"): 0})
-    t = trim(dead)
-    assert t.r == 1 and t.accepts == frozenset()
-    m = minimize(t)
-    assert m.r == 1 and not m.accepts_word(()) and not m.accepts_word(("a",))
+    m = minimize(dead)
+    assert m.r == 1 and m.accepts == frozenset() and not m.trans
+    assert not accepts(m, ()) and not accepts(m, ("a",))
 
 
 def test_renumbered_canonical():
@@ -108,34 +86,28 @@ def test_renumbered_canonical():
 
 def test_intersect_is_conjunction():
     # L1: no "bb" factor; L2: even number of tau
-    n1 = Nfa.from_regex(
-        RStar(rx_any(["a", "tau"]) | rx_word(["b", "a"]) | rx_word(["b", "tau"]))
-        + (REps() | RSym("b")),
-        AB,
-    )
-    d1 = determinize_trim_minimize(n1)
+    d1 = Dfa(AB, 2, 0, frozenset({0, 1}),
+             {(0, "tau"): 0, (0, "a"): 0, (0, "b"): 1, (1, "tau"): 0, (1, "a"): 0})
     d2 = Dfa(AB, 2, 0, frozenset({0}),
              {(0, "tau"): 1, (1, "tau"): 0,
               (0, "a"): 0, (1, "a"): 1, (0, "b"): 0, (1, "b"): 1})
-    both = minimize(trim(intersect(d1, d2)))
+    both = minimize(intersect(d1, d2))
     for w in all_words(AB.names, 5):
-        want = d1.accepts_word(w) and d2.accepts_word(w)
-        assert both.accepts_word(w) == want, w
+        want = accepts(d1, w) and accepts(d2, w)
+        assert accepts(both, w) == want, w
 
 
 def test_hom_preimage():
-    base = determinize_trim_minimize(
-        Nfa.from_regex(RStar(rx_word(["a", "tau"])), AB))
     hom = {"tau": ["a", "tau"], "a": [], "b": ["a", "tau", "a", "tau"]}
-    pre = hom_preimage(base, AB, hom)
+    pre = hom_preimage(A_TAU, AB, hom)
     for w in all_words(AB.names, 4):
         image = [c for sym in w for c in hom[sym]]
-        assert pre.accepts_word(w) == base.accepts_word(image), w
+        assert accepts(pre, w) == accepts(A_TAU, image), w
 
 
 def test_dp_count_matches_enumeration():
-    rx = RStar(rx_any(["a", "b"]) + RSym("tau"))
-    dfa = determinize_trim_minimize(Nfa.from_regex(rx, AB))
+    # ((a|b) tau)*
+    dfa = Dfa(AB, 2, 0, frozenset({0}), {(0, "a"): 1, (0, "b"): 1, (1, "tau"): 0})
     tab = dp_count(dfa, 4, (4,))
     for d in range(5):
         for m in range(5):
@@ -156,11 +128,11 @@ def test_dp_count_random_dfas():
             for sym in AB.names:
                 if rng.random() < 0.7:
                     trans[(q, sym)] = rng.randrange(r)
-        dfa = trim(Dfa(AB, r, 0, frozenset(rng.sample(range(r), rng.randint(1, r))), trans))
+        dfa = Dfa(AB, r, 0, frozenset(rng.sample(range(r), rng.randint(1, r))), trans)
         tab = dp_count(dfa, 6, (6,))
         brute = {}
         for w in all_words(AB.names, 6):
-            if dfa.accepts_word(w):
+            if accepts(dfa, w):
                 d = sum(1 for c in w if c != "tau")
                 m = len(w) - d
                 brute[(d, m)] = brute.get((d, m), 0) + 1
@@ -171,35 +143,31 @@ def test_dp_count_random_dfas():
 
 
 def test_enumerate_words_exact_profile():
-    dfa = determinize_trim_minimize(
-        Nfa.from_regex(RStar(rx_any(["a", "b", "tau"])), AB))
-    words = enumerate_words(dfa, (2, 1))
+    words = enumerate_words(ANY, (2, 1))
     assert len(words) == 12  # 4 letter patterns x 3 tau positions
     assert ("a", "a", "tau") in words
     assert all(w.count("tau") == 1 and len(w) == 3 for w in words)
 
 
 def test_language_agrees_ok_and_counterexample():
-    rx = RStar(rx_any(["a", "b"]) | RSym("tau"))
-    dfa = determinize_trim_minimize(Nfa.from_regex(rx, AB))
-    ok, bad, checked = language_agrees(dfa, dfa.accepts_word, 5)
+    ok, bad, checked = language_agrees(ANY, lambda w: accepts(ANY, w), 5)
     assert ok and bad is None and checked > 100
 
     flip = ("a", "b", "tau")
 
     def pred(w):
         w = tuple(w)
-        return dfa.accepts_word(w) != (w == flip)
+        return accepts(ANY, w) != (w == flip)
 
-    ok, bad, _ = language_agrees(dfa, pred, 5)
+    ok, bad, _ = language_agrees(ANY, pred, 5)
     assert not ok and bad == flip
 
 
 def test_language_agrees_prefix_closure():
     # words of length exactly 2: agrees with its own dfa, but is not
     # prefix closed, which the default mode reports
-    two = determinize_trim_minimize(
-        Nfa.from_regex(rx_any(AB.names) + rx_any(AB.names), AB))
+    trans = {(q, sym): q + 1 for q in (0, 1) for sym in AB.names}
+    two = Dfa(AB, 3, 0, frozenset({2}), trans)
 
     def pred(w):
         return len(w) == 2
@@ -211,10 +179,59 @@ def test_language_agrees_prefix_closure():
 
 
 def test_to_dot_deterministic():
-    dfa = determinize_trim_minimize(
-        Nfa.from_regex(RStar(rx_word(["a", "tau"])), AB))
-    dot = dfa.to_dot("machine")
-    assert dot == dfa.to_dot("machine")
+    dot = A_TAU.to_dot("machine")
+    assert dot == A_TAU.to_dot("machine")
     assert dot.startswith("digraph machine {")
     assert "doublecircle" in dot
     assert '-> 0 [label="a"' in dot or '[label="a"]' in dot
+
+
+@st.composite
+def partial_dfas(draw):
+    r = draw(st.integers(1, 4))
+    targets = st.none() | st.integers(0, r - 1)
+    trans = {}
+    for q in range(r):
+        for sym in AB.names:
+            q2 = draw(targets)
+            if q2 is not None:
+                trans[(q, sym)] = q2
+    accepts = draw(st.frozensets(st.integers(0, r - 1)))
+    return Dfa(AB, r, 0, accepts, trans)
+
+
+WORDS = list(all_words(AB.names, 5))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(partial_dfas(), st.randoms(use_true_random=False))
+def test_minimize_keeps_the_language_and_is_canonical(dfa, rng):
+    m = minimize(dfa)
+    assert m.r <= dfa.r
+    for w in WORDS:
+        assert accepts(m, w) == accepts(dfa, w), w
+    assert same_dfa(minimize(m), m)
+    # renaming the states does not change the minimized machine
+    perm = list(range(dfa.r))
+    rng.shuffle(perm)
+    renamed = Dfa(AB, dfa.r, perm[dfa.start], {perm[q] for q in dfa.accepts},
+                  {(perm[p], sym): perm[q] for (p, sym), q in dfa.trans.items()})
+    assert same_dfa(minimize(renamed), m)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(partial_dfas(), partial_dfas())
+def test_intersect_random_partial_dfas(d1, d2):
+    both = intersect(d1, d2)
+    for w in WORDS:
+        assert accepts(both, w) == (accepts(d1, w) and accepts(d2, w)), w
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(partial_dfas(), st.fixed_dictionaries(
+    {sym: st.lists(st.sampled_from(AB.names), max_size=2) for sym in AB.names}))
+def test_hom_preimage_random_partial_dfas(dfa, hom):
+    pre = hom_preimage(dfa, AB, hom)
+    for w in WORDS:
+        image = [c for sym in w for c in hom[sym]]
+        assert accepts(pre, w) == accepts(dfa, image), w

@@ -209,6 +209,15 @@ def test_toric_fibers_degree_sweep():
         assert msg in res.output
 
 
+def test_toric_fibers_target_degree_is_capped():
+    # x-degree 48 is edge degree 24, far past the safety cap
+    target = "*".join("x%d^4" % v for v in range(1, 13))
+    res = run("toric", "fibers", "--map", "window-squares", "--c", "10",
+              "--n", "10", "--target", target)
+    assert res.exit_code == 2
+    assert "target degree=24" in res.output and "--unsafe" in res.output
+
+
 def test_toric_reduce():
     res = run("toric", "reduce", "--binomial",
               "x[1,1]*x[2,2] - x[1,2]^2", "--c", "1", "--n", "4")
@@ -231,6 +240,18 @@ def test_toric_degree_stats():
     assert "n=13  computed=8   formula=8   ok" in res.output
     assert "MISMATCH" not in res.output
     assert "formula disagrees" not in res.output
+
+
+def test_toric_degree_stats_is_bounded():
+    for args, msg in ((("--nmax", "50"), "--nmax=50 exceeds the limit 40"),
+                      (("--nmin", "-1"), "--nmin=-1 must not be negative"),
+                      (("--nmin", "-3", "--nmax", "-1"), "must not be negative")):
+        res = run("toric", "degree-stats", *args)
+        assert res.exit_code == 2
+        assert msg in res.output
+    # the limit itself is allowed (an empty range keeps this cheap)
+    res = run("toric", "degree-stats", "--nmin", "41", "--nmax", "40")
+    assert res.exit_code == 0
 
 
 def test_export_dot():

@@ -1,8 +1,11 @@
 """Tests for the built-in filtration languages and their closed forms."""
 
-import pytest
+import re
 
-from equihilb.automata import Nfa, determinize_trim_minimize, dp_count, minimize
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from equihilb.automata import Alphabet, Dfa, dp_count, language_agrees
 from equihilb.exactalg import (
     VarSet,
     parse_ratfun,
@@ -95,17 +98,22 @@ def test_gap_series_cells():
 
 
 def test_window_squares_regex_matches_dfa():
+    # closed regex {tau, a0, a1 tau, ..., ac tau^c}* {eps, a0, ..., ac} tau*,
+    # one character per letter: tau is "t" and ai is the i-th capital
     for c in range(4):
         lang = lang_window_squares(c)
-        from_rx = determinize_trim_minimize(
-            Nfa.from_regex(lang.regex, lang.alphabet)).renumbered()
-        hand = minimize(lang.dfa).renumbered()
-        assert from_rx.r == hand.r == c + 1
-        assert from_rx.start == hand.start
-        assert from_rx.accepts == hand.accepts
-        assert from_rx.trans == hand.trans
-    assert lang_gap().regex is None
-    assert lang_poly_ring(2).regex is None
+        caps = [chr(ord("A") + i) for i in range(c + 1)]
+        block = "|".join(["t"] + [a + "t" * i for i, a in enumerate(caps)])
+        regex = re.compile("(?:%s)*[%s]?t*" % (block, "".join(caps)))
+        char = {"tau": "t"}
+        char.update(("a%d" % i, a) for i, a in enumerate(caps))
+
+        def pred(word):
+            return regex.fullmatch("".join(char[sym] for sym in word)) is not None
+
+        ok, bad, checked = language_agrees(lang.dfa, pred, 7)
+        assert ok, (c, bad)
+        assert checked > 200
 
 
 def test_predicates_agree_with_automata():
@@ -198,3 +206,39 @@ def test_ideal_gap_series():
     # the stated form even has a nonzero t^0 slice, which no ideal has
     stab = series_expand(stated, (4, 4))
     assert [stab.get((0, n)) for n in range(1, 5)] == [1, 3, 5, 7]
+
+
+@st.composite
+def random_language(draw, alphabet):
+    r = draw(st.integers(1, 4))
+    targets = st.none() | st.integers(0, r - 1)
+    trans = {}
+    for q in range(r):
+        for sym in alphabet.names:
+            q2 = draw(targets)
+            if q2 is not None:
+                trans[(q, sym)] = q2
+    accepts = draw(st.frozensets(st.integers(0, r - 1)))
+    dfa = Dfa(alphabet, r, 0, accepts, trans)
+    return FiltrationLanguage("random", alphabet, TS, dfa, None, (0, 1))
+
+
+FIRST = Alphabet([("tau", ("count", 1)), ("a", ("content",)), ("b", ("content",))])
+SECOND = Alphabet([("tau2", ("count", 1)), ("c", ("content",)), ("d", ("content",))])
+
+
+def nonzero(tab, dmax):
+    return {k: v for k, v in tab.data.items() if v and k[0] <= dmax}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(random_language(FIRST), random_language(SECOND))
+def test_pair_counts_random_factors(a, b):
+    # b's start state rejects in 90 of the 150 examples, so both sides of
+    # the concat rule "a's accepting states accept iff b accepts the empty
+    # word" are exercised
+    ta, tb = dp_count(a.dfa, 3, (3,)), dp_count(b.dfa, 3, (3,))
+    seg = dp_count(lang_segre(a, b).dfa, 3, (3, 3))
+    assert nonzero(seg, 3) == nonzero(segre_counts(ta, tb), 3)
+    cat = dp_count(lang_concat(a, b).dfa, 3, (3, 3))
+    assert nonzero(cat, 3) == nonzero(tensor_counts(ta, tb), 3)
