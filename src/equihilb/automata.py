@@ -5,7 +5,9 @@ size variable, or are ("content",) letters contributing to internal degree.
 DFAs are partial: a missing transition rejects.
 """
 
-from .exactalg import CountTable
+import collections
+
+from .exactalg import CountTable, flat_box
 
 
 class Alphabet:
@@ -240,35 +242,47 @@ def _letter_delta(alphabet, classes, sym):
 def dp_count(dfa, dmax, size_bounds):
     """Accepted-word counts by profile (d, m) or (d, m, n); d is content degree.
 
-    Dynamic programming over (state, profile); profiles determine length so a
-    single frontier sweep suffices.
+    N_q[k], the number of words of profile k leading from the start state to
+    q, obeys the pull recurrence
+
+        N_q[k] = [k = 0 and q = start] + sum_{(p, sym) -> q} N_p[k - delta(sym)],
+
+    and cell k of the table is the sum of N_q[k] over accepting q.  Each N_q
+    is one flat list on the box of exactalg.flat_box, padded by 1 on every
+    axis; every letter adds a unit vector, so row-major order evaluates each
+    cell after the cells it reads.
     """
     classes = _profile_shape(dfa.alphabet)
     if len(size_bounds) != len(classes):
         raise ValueError("size bound arity mismatch")
     bounds = (dmax,) + tuple(size_bounds)
-    deltas = {sym: _letter_delta(dfa.alphabet, classes, sym) for sym in dfa.alphabet.names}
-    axes = ("d", "m", "n")[: 1 + len(classes)]
-    out = CountTable(axes, bounds)
-    zero = (0,) * len(bounds)
-    frontier = {(dfa.start, zero): 1}
-    while frontier:
-        for (q, prof), cnt in frontier.items():
-            if q in dfa.accepts:
-                out.set(prof, out.get(prof) + cnt)
-        nxt = {}
-        for (q, prof), cnt in frontier.items():
-            for sym, delta in deltas.items():
-                q2 = dfa.trans.get((q, sym))
-                if q2 is None:
-                    continue
-                p2 = tuple(a + b for a, b in zip(prof, delta))
-                if any(a > b for a, b in zip(p2, bounds)):
-                    continue
-                key = (q2, p2)
-                nxt[key] = nxt.get(key, 0) + cnt
-        frontier = nxt
-    return out
+    strides, origin, size, rows = flat_box(bounds, (1,) * len(bounds))
+    counts = [[0] * size for _ in range(dfa.r)]
+    if min(bounds) >= 0:  # the empty word, when the box holds its profile
+        counts[dfa.start][origin] = 1
+    # letters of one axis between the same two states pull the same cell
+    arrows = {}
+    for (p, sym), q in dfa.trans.items():
+        off = strides[_letter_delta(dfa.alphabet, classes, sym).index(1)]
+        arrows.setdefault(q, collections.Counter())[(p, off)] += 1
+    pulls = [
+        (counts[q], [(c, counts[p], off) for (p, off), c in ins.items()])
+        for q, ins in arrows.items()
+    ]
+    accepted = [counts[q] for q in sorted(dfa.accepts)]
+    data = {}
+    last = bounds[-1] + 1
+    for pre, start in rows:
+        for k in range(start, start + last):
+            for cur, ins in pulls:
+                acc = cur[k]
+                for c, prev, off in ins:
+                    acc += c * prev[k - off]
+                cur[k] = acc
+            val = sum(cur[k] for cur in accepted)
+            if val:
+                data[pre + (k - start,)] = val
+    return CountTable(("d", "m", "n")[: len(bounds)], bounds, data)
 
 
 def enumerate_words(dfa, profile):

@@ -1,6 +1,7 @@
 """Command line interface: series, compare, toric, export."""
 
 import json
+import math
 import re
 import sys
 
@@ -17,6 +18,7 @@ from .monoracle import (
     GeneratorFamily,
     compare_report,
     mono_str,
+    window_edges,
     word_monomial_maps,
 )
 from .toric import (
@@ -36,6 +38,9 @@ SAFE_CAP = 10
 # toric degree-stats builds the kernel family for each window n, and the
 # family grows exponentially with n
 DEGREE_STATS_MAX = 40
+# toric fibers enumerates the window's edge multisets of the target degree;
+# inputs each under SAFE_CAP can still make about 10^14 of them
+FIBER_MULTISETS_CAP = 10_000
 SINGLES = ("poly-ring", "window-squares", "gap")
 PAIRS = ("segre", "concat")
 
@@ -365,7 +370,17 @@ def fibers(ctx, kind, c, n, degree, target, moves, exclude, unsafe, fmt):
         raise click.UsageError("need --target or --degree")
     if target is not None:
         tgt = parse_x_monomial(target)
-        _cap(ctx, (sum(tgt.values()) + 1) // 2, "target degree")
+        edge_degree = _cap(ctx, (sum(tgt.values()) + 1) // 2, "target degree")
+    else:
+        edge_degree = degree
+    edges = len(window_edges(kind, c, n))
+    multisets = math.comb(max(edges + edge_degree - 1, 0), edge_degree)
+    if multisets > FIBER_MULTISETS_CAP and not unsafe:
+        raise click.UsageError(
+            "%d window edges give %d edge multisets of degree %d, over the"
+            " safety cap %d; pass --unsafe to override"
+            % (edges, multisets, edge_degree, FIBER_MULTISETS_CAP)
+        )
     use_shifts = moves == "gens"
     degree_cap = degree if degree is not None else SAFE_CAP
     move_list = _move_set(moves, c, n, degree_cap)

@@ -8,7 +8,7 @@ and fixes the denominator's leading sign.
 
 import ast
 import itertools
-from fractions import Fraction
+import operator
 
 
 class VarSet:
@@ -353,12 +353,43 @@ def table_mismatches(a, b):
     return out
 
 
+def flat_box(bounds, pads):
+    """Row-major layout of the box 0 <= e <= bounds in one flat list, with
+    pads[i] cells of zeros below 0 on axis i.  From a box cell, a look-back
+    by any off with 0 <= off <= pads is a valid index, and it lands on a pad
+    cell exactly when it leaves the box, so it needs no bounds test.
+
+    Returns (strides, origin, size, rows): the cell e sits at index
+    origin + sum(e_i * strides_i); size is the list length; rows lists
+    (prefix, start) for each run of cells along the last axis, in row-major
+    order, where start is the index of prefix + (0,).
+    """
+    extents = [b + 1 + p for b, p in zip(bounds, pads)]
+    strides = [1] * len(bounds)
+    for i in range(len(bounds) - 1, 0, -1):
+        strides[i - 1] = strides[i] * extents[i]
+    origin = _dot(pads, strides)
+    rows = [
+        (pre, origin + _dot(pre, strides))
+        for pre in itertools.product(*[range(b + 1) for b in bounds[:-1]])
+    ]
+    return strides, origin, strides[0] * extents[0], rows
+
+
+def _dot(a, b):
+    return sum(map(operator.mul, a, b))
+
+
 def series_expand(f, bounds, axes=None):
     """Taylor coefficients of RatFun f in the box exp <= bounds (componentwise).
 
-    Requires the denominator's constant term to be nonzero.  Computed by the
-    recurrence c0*S[e] = N[e] - sum_{0<e'<=e} D[e']*S[e-e'] over Fractions;
-    integer coefficients come back as ints.
+    Computed in integers by the recurrence c0*S[e] = N[e] - sum D[e']*S[e-e']
+    over the nonconstant denominator terms e' inside the box, where c0 is the
+    denominator's constant term, on the flat zero-padded box of flat_box.
+    Every coefficient must be an integer: that holds for every transfer
+    series (c0 = +-1) and for any form, reduced or not, whose series has
+    integer coefficients.  Raises ArithmeticError when c0 is 0 or a
+    coefficient is not an integer, naming the first such cell.
     """
     vs = f.vars
     if len(bounds) != len(vs):
@@ -366,22 +397,34 @@ def series_expand(f, bounds, axes=None):
     c0 = f.den.constant_term()
     if c0 == 0:
         raise ArithmeticError("denominator vanishes at the origin")
-    dterms = {e: c for e, c in f.den.terms.items() if any(e)}
-    table = {}
-    axes = tuple(axes) if axes else vs.names
-    out = CountTable(axes, bounds)
-    for e in itertools.product(*[range(b + 1) for b in bounds]):
-        acc = Fraction(f.num.terms.get(e, 0))
-        for ed, cd in dterms.items():
-            prev = tuple(a - b for a, b in zip(e, ed))
-            if any(x < 0 for x in prev):
-                continue
-            acc -= cd * table[prev]
-        val = acc / c0
-        table[e] = val
-        if val:
-            out.set(e, int(val) if val.denominator == 1 else val)
-    return out
+
+    def inside(e):
+        return all(x <= b for x, b in zip(e, bounds))
+
+    dterms = [(e, c) for e, c in f.den.terms.items() if any(e) and inside(e)]
+    pads = [max([e[i] for e, _ in dterms], default=0) for i in range(len(bounds))]
+    strides, origin, size, rows = flat_box(bounds, pads)
+    offs = [(c, _dot(e, strides)) for e, c in dterms]
+    cells = [0] * size
+    for e, c in f.num.terms.items():
+        if inside(e):
+            cells[origin + _dot(e, strides)] = c
+    data = {}
+    last = bounds[-1] + 1
+    for pre, start in rows:
+        for k in range(start, start + last):
+            acc = cells[k]
+            for c, off in offs:
+                acc -= c * cells[k - off]
+            val, rem = divmod(acc, c0)
+            if rem:
+                raise ArithmeticError(
+                    "series coefficient at %r is not an integer" % (pre + (k - start,),)
+                )
+            cells[k] = val
+            if val:
+                data[pre + (k - start,)] = val
+    return CountTable(tuple(axes) if axes else vs.names, bounds, data)
 
 
 def bareiss_minors(mat):
@@ -414,47 +457,86 @@ def bareiss_minors(mat):
 def parse_poly(vars, text):
     """Parse '(1-t)^2 - s' style text into an MPoly.
 
-    The terms of the top-level sum are parsed one at a time and summed in a
-    loop, so that a long sum, such as a printed series, needs no deep
-    recursion in the parser.
+    Sums are cut into terms, terms into factors, and a factor that is one
+    parenthesized group, signed or not, is parsed as a sum again; the pieces
+    are combined in loops.  So a long sum, such as a printed series, a long
+    product and a negated long sum need no deep recursion in the parser.
     """
+    try:
+        return _parse_sum(vars, text.replace("^", "**"), "%s")
+    except SyntaxError as e:
+        raise ValueError("bad polynomial text: %s" % text) from e
+
+
+def _parse_sum(vars, src, wrap):
+    # wrap is "(%s)" inside a group, so that what the group allowed (spaces,
+    # line breaks) still holds for each factor handed to ast
     terms = {}
-    for term in _sum_terms(text.replace("^", "**")):
-        try:
-            tree = ast.parse(term, mode="eval")
-        except SyntaxError as e:
-            raise ValueError("bad polynomial text: %s" % text) from e
-        for e, c in _from_ast(vars, tree.body).terms.items():
+    for term in _sum_terms(src):
+        prod = None
+        for factor in _factors(term):
+            p = _parse_factor(vars, factor, wrap)
+            prod = p if prod is None else prod * p
+        for e, c in prod.terms.items():
             terms[e] = terms.get(e, 0) + c
     return MPoly(vars, terms)
 
 
+def _parse_factor(vars, factor, wrap):
+    text = factor.strip()
+    sign = -1 if text.startswith("-") else 1
+    inside = _group_inside(text[1:] if text.startswith(("+", "-")) else text)
+    if inside is not None:
+        return sign * _parse_sum(vars, inside, "(%s)")
+    return _from_ast(vars, ast.parse(wrap % text, mode="eval").body)
+
+
+def _top_level(src):
+    """(i, prev) for each character src[i] outside parentheses, prev being
+    the last non-space character before it."""
+    depth = 0
+    prev = ""
+    for i, ch in enumerate(src):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif depth == 0:
+            yield i, prev
+        if not ch.isspace():
+            prev = ch
+
+
 def _sum_terms(src):
     """Cut src before each binary + or - outside parentheses; a term after
-    the first keeps its sign as a unary operator.  When the whole text is
-    one parenthesized group, its inside is cut and each term parenthesized
-    again, so that what the group allowed (spaces, line breaks) still holds."""
-    wrap = "%s"
-    while True:
-        cuts = [0]
-        depth = 0
-        prev = ""
-        first_close = None
-        for i, ch in enumerate(src):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-                if depth == 0 and first_close is None:
-                    first_close = i
-            elif ch in "+-" and depth == 0 and (prev.isalnum() or prev in ("_", ")")):
-                cuts.append(i)
-            if not ch.isspace():
-                prev = ch
-        if not (src.startswith("(") and first_close == len(src.rstrip()) - 1):
-            return [wrap % src[a:b] for a, b in zip(cuts, cuts[1:] + [len(src)])]
-        src = src[1:first_close]
-        wrap = "(%s)"
+    the first keeps its sign as a unary operator."""
+    cuts = [
+        i
+        for i, prev in _top_level(src)
+        if src[i] in "+-" and (prev.isalnum() or prev in ("_", ")"))
+    ]
+    return [src[a:b] for a, b in zip([0] + cuts, cuts + [len(src)])]
+
+
+def _factors(term):
+    """Cut term at each * outside parentheses that is not half of a **."""
+    cuts = [
+        i
+        for i, _ in _top_level(term)
+        if term[i] == "*" and "*" not in (term[i - 1 : i], term[i + 1 : i + 2])
+    ]
+    return [term[a + 1 : b] for a, b in zip([-1] + cuts, cuts + [len(term)])]
+
+
+def _group_inside(src):
+    """The inside of src when src is one parenthesized group, else None."""
+    src = src.strip()
+    depth = 0
+    for i, ch in enumerate(src):
+        depth += (ch == "(") - (ch == ")")
+        if depth == 0:
+            return src[1:-1] if i > 0 and i == len(src) - 1 else None
+    return None
 
 
 def _from_ast(vars, node):

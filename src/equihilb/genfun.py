@@ -10,6 +10,10 @@ and both are leading principal minors of the bordered matrix, so a single
 fraction-free elimination gives the series.  WeightFn admits only
 non-constant monomial weights, so every leading principal minor of I - A has
 constant term 1 and the elimination needs no pivoting.
+
+The denominator's constant term is therefore +-1, so series_check can expand
+the series by exactalg.series_expand in integers and compare it cell by cell
+with automata.dp_count, which counts the accepted words directly.
 """
 
 from .exactalg import MPoly, RatFun, bareiss_minors, series_expand, table_mismatches

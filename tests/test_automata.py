@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from equihilb.automata import (
     Alphabet,
@@ -22,6 +22,8 @@ AB = Alphabet([("tau", ("count", 1)), ("a", ("content",)), ("b", ("content",))])
 A_TAU = Dfa(AB, 2, 0, frozenset({0}), {(0, "a"): 1, (1, "tau"): 0})
 # (a|b|tau)*
 ANY = Dfa(AB, 1, 0, frozenset({0}), {(0, sym): 0 for sym in AB.names})
+AB2 = Alphabet([("tau", ("count", 1)), ("sig", ("count", 2)),
+                ("a", ("content",)), ("b", ("content",))])
 
 
 def all_words(names, maxlen):
@@ -187,17 +189,18 @@ def test_to_dot_deterministic():
 
 
 @st.composite
-def partial_dfas(draw):
+def partial_dfas(draw, alphabet=AB, any_start=False):
     r = draw(st.integers(1, 4))
     targets = st.none() | st.integers(0, r - 1)
     trans = {}
     for q in range(r):
-        for sym in AB.names:
+        for sym in alphabet.names:
             q2 = draw(targets)
             if q2 is not None:
                 trans[(q, sym)] = q2
     accepts = draw(st.frozensets(st.integers(0, r - 1)))
-    return Dfa(AB, r, 0, accepts, trans)
+    start = draw(st.integers(0, r - 1)) if any_start else 0
+    return Dfa(alphabet, r, start, accepts, trans)
 
 
 WORDS = list(all_words(AB.names, 5))
@@ -235,3 +238,60 @@ def test_hom_preimage_random_partial_dfas(dfa, hom):
     for w in WORDS:
         image = [c for sym in w for c in hom[sym]]
         assert accepts(pre, w) == accepts(dfa, image), w
+
+
+def frontier_count(dfa, dmax, size_bounds):
+    """Reference: the frontier sweep dp_count ran before its flat-box
+    kernel, one dict of (state, profile) counts per word length."""
+    bounds = (dmax,) + tuple(size_bounds)
+    deltas = {}
+    for sym in dfa.alphabet.names:
+        kind = dfa.alphabet.kind(sym)
+        delta = [0] * len(bounds)
+        delta[0 if kind == ("content",) else kind[1]] = 1
+        deltas[sym] = tuple(delta)
+    out = {}
+    frontier = {(dfa.start, (0,) * len(bounds)): 1}
+    while frontier:
+        for (q, prof), cnt in frontier.items():
+            if q in dfa.accepts:
+                out[prof] = out.get(prof, 0) + cnt
+        nxt = {}
+        for (q, prof), cnt in frontier.items():
+            for sym, delta in deltas.items():
+                q2 = dfa.trans.get((q, sym))
+                if q2 is None:
+                    continue
+                p2 = tuple(a + b for a, b in zip(prof, delta))
+                if any(a > b for a, b in zip(p2, bounds)):
+                    continue
+                nxt[(q2, p2)] = nxt.get((q2, p2), 0) + cnt
+        frontier = nxt
+    return out
+
+
+@st.composite
+def counted_dfas(draw):
+    """A partial DFA over one or two count classes, with any start state,
+    and a box of bounds 0..5 on each axis."""
+    alphabet = draw(st.sampled_from([AB, AB2]))
+    dfa = draw(partial_dfas(alphabet, any_start=True))
+    axes = 1 + len(alphabet.count_classes())
+    return dfa, draw(st.tuples(*[st.integers(0, 5)] * axes))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(counted_dfas())
+# the start state 1 does not accept, and state 2 is unreachable
+@example((Dfa(AB, 3, 1, {0}, {(1, "a"): 0, (0, "tau"): 1, (0, "b"): 0, (2, "a"): 1}),
+          (3, 5)))
+# no accepting state
+@example((Dfa(AB2, 2, 0, (), {(0, "a"): 1, (1, "sig"): 0, (1, "tau"): 1}), (2, 4, 3)))
+# the unreachable state 2 accepts
+@example((Dfa(AB2, 3, 0, {0, 2}, {(0, "a"): 1, (0, "b"): 1, (1, "tau"): 0,
+                                   (1, "sig"): 0, (2, "sig"): 0}), (2, 4, 3)))
+def test_dp_count_matches_the_frontier_sweep(case):
+    dfa, bounds = case
+    tab = dp_count(dfa, bounds[0], bounds[1:])
+    assert tab.bounds == bounds and tab.axes == ("d", "m", "n")[: len(bounds)]
+    assert tab.data == frontier_count(dfa, bounds[0], bounds[1:])

@@ -216,6 +216,13 @@ def test_toric_fibers_target_degree_is_capped():
               "--n", "10", "--target", target)
     assert res.exit_code == 2
     assert "target degree=24" in res.output and "--unsafe" in res.output
+    # every input at or under its cap, but 110 window edges make about 10^14
+    # edge multisets of degree 10
+    target = "*".join("x%d^2" % v for v in range(1, 11))
+    res = run("toric", "fibers", "--map", "window-squares", "--c", "10",
+              "--n", "10", "--target", target)
+    assert res.exit_code == 2
+    assert "106395830418878 edge multisets" in res.output and "--unsafe" in res.output
 
 
 def test_toric_reduce():

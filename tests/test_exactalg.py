@@ -1,14 +1,16 @@
 """Tests for the exact polynomial / rational-function layer."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from equihilb.exactalg import (
+    TSS,
     VarSet,
     MPoly,
     RatFun,
@@ -195,9 +197,66 @@ def test_series_expand_axes_and_unit():
     tab = series_expand(f, (3, 3), axes=("d", "n"))
     assert tab.axes == ("d", "n")
     assert tab[(2, 2)] == 1 and tab[(2, 1)] == 0
-    bad = parse_ratfun(TS, "1/(t - s)")
-    with pytest.raises(ArithmeticError):
-        series_expand(bad, (3, 3))
+
+
+def fraction_expand(f, bounds):
+    """Reference: the Fraction recurrence series_expand ran before its
+    integer kernel, cell by cell with a bounds test per denominator term."""
+    c0 = f.den.constant_term()
+    dterms = {e: c for e, c in f.den.terms.items() if any(e)}
+    table = {}
+    for e in itertools.product(*[range(b + 1) for b in bounds]):
+        acc = Fraction(f.num.terms.get(e, 0))
+        for ed, cd in dterms.items():
+            prev = tuple(a - b for a, b in zip(e, ed))
+            if any(x < 0 for x in prev):
+                continue
+            acc -= cd * table[prev]
+        table[e] = acc / c0
+    return {e: v for e, v in table.items() if v}
+
+
+@st.composite
+def unit_series(draw):
+    """A numerator over a denominator with constant term +1 or -1, over TS
+    or TSS, in a box whose bounds may be 0 or below the exponents of some
+    denominator terms."""
+    vs = draw(st.sampled_from([TS, TSS]))
+    exps = st.tuples(*[st.integers(0, 4)] * len(vs))
+    num = draw(st.dictionaries(exps, st.integers(-4, 4), max_size=4))
+    den = draw(st.dictionaries(exps.filter(any), st.integers(-3, 3), max_size=4))
+    den[vs.zero_exp()] = draw(st.sampled_from([1, -1]))
+    bounds = draw(st.tuples(*[st.integers(0, 5)] * len(vs)))
+    return RatFun(MPoly(vs, num), MPoly(vs, den)), bounds
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(unit_series())
+# t^6*s and s^3 lie outside the box on one axis each; the constant term is -1
+@example((parse_ratfun(TS, "(1 + s^3)/(-1 + t + s^3 + t^6*s)"), (5, 2)))
+@example((parse_ratfun(TS, "(1 - t)/(1 - t - s)"), (0, 3)))
+@example((parse_ratfun(TSS, "(t - s2)/(1 - t*s1 - s2^4 + t^3*s1^5 - s1*s2)"), (2, 4, 3)))
+def test_series_expand_matches_the_fraction_recurrence(case):
+    f, bounds = case
+    assert f.den.constant_term() in (1, -1)
+    tab = series_expand(f, bounds)
+    assert tab.bounds == bounds and tab.axes == f.vars.names
+    assert tab.data == fraction_expand(f, bounds)
+    assert all(type(v) is int for v in tab.data.values())
+    # an unreduced form with constant term 2 keeps the same coefficients
+    two = MPoly(f.vars, {f.vars.zero_exp(): 2, (1,) + f.vars.zero_exp()[1:]: -1})
+    assert series_expand(RatFun(f.num * two, f.den * two), bounds) == tab
+
+
+def test_series_expand_needs_integer_coefficients():
+    with pytest.raises(ArithmeticError, match=r"coefficient at \(0, 0\)"):
+        series_expand(parse_ratfun(TS, "1/(2 - t)"), (3, 3))
+    with pytest.raises(ArithmeticError, match=r"coefficient at \(1, 0\)"):
+        series_expand(parse_ratfun(TS, "(2 - 2*s + t)/(2 - 2*s)"), (3, 3))
+    tab = series_expand(parse_ratfun(TS, "(2 - t)/(2 - t)"), (3, 3))
+    assert tab.data == {(0, 0): 1}
+    with pytest.raises(ArithmeticError, match="vanishes at the origin"):
+        series_expand(parse_ratfun(TS, "1/(t - s)"), (3, 3))
 
 
 small_polys = st.lists(
@@ -269,6 +328,11 @@ def test_parse_poly_roundtrip():
     part = MPoly(TS, {e: c for e, c in big.terms.items() if e[0] < 24})
     f = parse_ratfun(TS, "(%s)/(1 - t)" % poly_to_text(part))
     assert rat_equal(f, RatFun(part, parse_poly(TS, "1 - t")))
+    # so do long products and a unary minus over a long sum
+    assert parse_poly(TS, "*".join(["t"] * 3000)) == MPoly.var(TS, "t", 3000)
+    negated = "-(%s)" % " + ".join(["t"] * 3000)
+    assert parse_poly(TS, negated) == MPoly.monomial(TS, (1, 0), -3000)
+    assert parse_poly(TS, "2*-(t - s)*(1 + t)^2") == parse_poly(TS, "2*(s - t)*(1 + 2*t + t^2)")
 
 
 def test_parse_ratfun_roundtrip():
