@@ -7,8 +7,6 @@ from .exactalg import (
     TS,
     TSS,
     VarSet,
-    parse_poly,
-    parse_ratfun,
     rat_equal,
     series_expand,
 )

@@ -51,11 +51,16 @@ def _cap(ctx, value, what):
     if value < 0:
         raise click.UsageError("%s=%d must not be negative" % (what, value))
     if value > SAFE_CAP and not ctx.params.get("unsafe"):
+        hint = "; pass --unsafe to override" if "unsafe" in ctx.params else ""
         raise click.UsageError(
-            "%s=%d exceeds the safety cap %d; pass --unsafe to override"
-            % (what, value, SAFE_CAP)
+            "%s=%d exceeds the safety cap %d%s" % (what, value, SAFE_CAP, hint)
         )
     return value
+
+
+def _cap_sizes(ctx, c, a_c, b_c):
+    for value, what in ((c, "--c"), (a_c, "--a-c"), (b_c, "--b-c")):
+        _cap(ctx, value, what)
 
 
 def _emit(fmt, payload, text_lines):
@@ -76,8 +81,9 @@ def _build_language(selector, c, a, a_c, b, b_c, checked):
         raise click.UsageError("unknown selector %r" % selector)
     try:
         if selector in PAIRS:
-            return builtin_pair(selector, a, a_c, b, b_c, checked=checked)
-        lang = builtin_single(selector, c)
+            lang = builtin_pair(selector, a, a_c, b, b_c)
+        else:
+            lang = builtin_single(selector, c)
     except ValueError as e:
         raise click.UsageError(str(e))
     if checked:
@@ -102,6 +108,10 @@ def _build_language(selector, c, a, a_c, b, b_c, checked):
 def series(ctx, selector, c, a, a_c, b, b_c, expand, checked, unsafe, fmt):
     """Print the equivariant Hilbert series of a built-in language."""
     if selector == "ideal-gap":
+        if expand:
+            raise click.UsageError("ideal-gap takes no --expand")
+        if fmt == "csv":
+            raise click.UsageError("csv output needs --expand, which ideal-gap does not take")
         computed, stated = ideal_gap_series()
         eq = rat_equal(computed, stated)
         payload = {
@@ -123,8 +133,7 @@ def series(ctx, selector, c, a, a_c, b, b_c, expand, checked, unsafe, fmt):
             lines.append("  MISMATCH between computed identity and stated form")
         _emit(fmt, payload, lines)
         return
-    for value, what in ((c, "--c"), (a_c, "--a-c"), (b_c, "--b-c")):
-        _cap(ctx, value, what)
+    _cap_sizes(ctx, c, a_c, b_c)
     lang = _build_language(selector, c, a, a_c, b, b_c, checked)
     ser = lang.series()
     results = {"series": ratfun_to_text(ser)}
@@ -497,8 +506,10 @@ def degree_stats(nmin, nmax, fmt):
 @click.option("--b", default="poly-ring")
 @click.option("--b-c", type=int, default=1)
 @click.option("--what", type=click.Choice(["dfa", "alt-dfa"]), default="dfa")
-def export(selector, c, a, a_c, b, b_c, what):
+@click.pass_context
+def export(ctx, selector, c, a, a_c, b, b_c, what):
     """Emit the automaton of a built-in language as DOT."""
+    _cap_sizes(ctx, c, a_c, b_c)
     lang = _build_language(selector, c, a, a_c, b, b_c, False)
     dfa = lang.dfa if what == "dfa" else lang.alt_dfa
     if dfa is None:

@@ -6,7 +6,6 @@ cross multiplication and canonicalization only strips integer content
 and fixes the denominator's leading sign.
 """
 
-import ast
 import itertools
 import operator
 
@@ -235,10 +234,6 @@ class RatFun:
     def const(cls, vars, c):
         return cls(MPoly.const(vars, c))
 
-    @classmethod
-    def var(cls, vars, name):
-        return cls(MPoly.var(vars, name))
-
     def is_zero(self):
         return self.num.is_zero()
 
@@ -270,15 +265,6 @@ class RatFun:
         return RatFun(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._lift(other)
-        if other.num.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RatFun(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        return self._lift(other) / self
 
     def __eq__(self, other):
         if isinstance(other, (int, MPoly)):
@@ -451,140 +437,7 @@ def bareiss_minors(mat):
 
 
 # ---------------------------------------------------------------------------
-# text syntax: integer coefficients, + - * ^, parentheses, named variables
-
-
-def parse_poly(vars, text):
-    """Parse '(1-t)^2 - s' style text into an MPoly.
-
-    Sums are cut into terms, terms into factors, and a factor that is one
-    parenthesized group, signed or not, is parsed as a sum again; the pieces
-    are combined in loops.  So a long sum, such as a printed series, a long
-    product and a negated long sum need no deep recursion in the parser.
-    """
-    try:
-        return _parse_sum(vars, text.replace("^", "**"), "%s")
-    except SyntaxError as e:
-        raise ValueError("bad polynomial text: %s" % text) from e
-
-
-def _parse_sum(vars, src, wrap):
-    # wrap is "(%s)" inside a group, so that what the group allowed (spaces,
-    # line breaks) still holds for each factor handed to ast
-    terms = {}
-    for term in _sum_terms(src):
-        prod = None
-        for factor in _factors(term):
-            p = _parse_factor(vars, factor, wrap)
-            prod = p if prod is None else prod * p
-        for e, c in prod.terms.items():
-            terms[e] = terms.get(e, 0) + c
-    return MPoly(vars, terms)
-
-
-def _parse_factor(vars, factor, wrap):
-    text = factor.strip()
-    sign = -1 if text.startswith("-") else 1
-    inside = _group_inside(text[1:] if text.startswith(("+", "-")) else text)
-    if inside is not None:
-        return sign * _parse_sum(vars, inside, "(%s)")
-    return _from_ast(vars, ast.parse(wrap % text, mode="eval").body)
-
-
-def _top_level(src):
-    """(i, prev) for each character src[i] outside parentheses, prev being
-    the last non-space character before it."""
-    depth = 0
-    prev = ""
-    for i, ch in enumerate(src):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif depth == 0:
-            yield i, prev
-        if not ch.isspace():
-            prev = ch
-
-
-def _sum_terms(src):
-    """Cut src before each binary + or - outside parentheses; a term after
-    the first keeps its sign as a unary operator."""
-    cuts = [
-        i
-        for i, prev in _top_level(src)
-        if src[i] in "+-" and (prev.isalnum() or prev in ("_", ")"))
-    ]
-    return [src[a:b] for a, b in zip([0] + cuts, cuts + [len(src)])]
-
-
-def _factors(term):
-    """Cut term at each * outside parentheses that is not half of a **."""
-    cuts = [
-        i
-        for i, _ in _top_level(term)
-        if term[i] == "*" and "*" not in (term[i - 1 : i], term[i + 1 : i + 2])
-    ]
-    return [term[a + 1 : b] for a, b in zip([-1] + cuts, cuts + [len(term)])]
-
-
-def _group_inside(src):
-    """The inside of src when src is one parenthesized group, else None."""
-    src = src.strip()
-    depth = 0
-    for i, ch in enumerate(src):
-        depth += (ch == "(") - (ch == ")")
-        if depth == 0:
-            return src[1:-1] if i > 0 and i == len(src) - 1 else None
-    return None
-
-
-def _from_ast(vars, node):
-    if isinstance(node, ast.BinOp):
-        if isinstance(node.op, ast.Pow):
-            base = _from_ast(vars, node.left)
-            if not isinstance(node.right, ast.Constant) or not isinstance(
-                node.right.value, int
-            ):
-                raise ValueError("exponent must be an integer literal")
-            return base ** node.right.value
-        left = _from_ast(vars, node.left)
-        right = _from_ast(vars, node.right)
-        if isinstance(node.op, ast.Add):
-            return left + right
-        if isinstance(node.op, ast.Sub):
-            return left - right
-        if isinstance(node.op, ast.Mult):
-            return left * right
-        raise ValueError("unsupported operator")
-    if isinstance(node, ast.UnaryOp):
-        if isinstance(node.op, ast.USub):
-            return -_from_ast(vars, node.operand)
-        if isinstance(node.op, ast.UAdd):
-            return _from_ast(vars, node.operand)
-        raise ValueError("unsupported unary operator")
-    if isinstance(node, ast.Constant):
-        if isinstance(node.value, int):
-            return MPoly.const(vars, node.value)
-        raise ValueError("non-integer constant")
-    if isinstance(node, ast.Name):
-        if node.id not in vars.index:
-            raise ValueError("unknown variable %r" % node.id)
-        return MPoly.var(vars, node.id)
-    raise ValueError("unsupported syntax node %r" % node)
-
-
-def parse_ratfun(vars, text):
-    """Parse '(num)/(den)' or a bare polynomial into a RatFun."""
-    depth = 0
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "/" and depth == 0:
-            return RatFun(parse_poly(vars, text[:i]), parse_poly(vars, text[i + 1 :]))
-    return RatFun(parse_poly(vars, text))
+# text output: integer coefficients, + - * ^, named variables
 
 
 def _exp_key(e):

@@ -6,7 +6,7 @@ relating word counts to algebra dimensions (window n counts words with
 n-1 letters of the size class).
 """
 
-from .exactalg import TS, TSS, MPoly, RatFun, parse_ratfun
+from .exactalg import TS, TSS, MPoly, RatFun
 from .automata import (
     Alphabet,
     Dfa,
@@ -32,8 +32,6 @@ class FiltrationLanguage:
         alt_dfa=None,
         reference_series=(),
         notes="",
-        checked=False,
-        check_len=6,
     ):
         self.name = name
         self.alphabet = alphabet
@@ -46,12 +44,6 @@ class FiltrationLanguage:
         self.notes = notes
         self.weights = WeightFn.standard(alphabet, vars)
         self._transfer = None
-        if checked:
-            ok, bad, _ = self.check(check_len)
-            if not ok:
-                raise AssertionError(
-                    "%s: predicate and automaton disagree at %r" % (name, bad)
-                )
 
     def check(self, maxlen):
         return language_agrees(self.dfa, self.predicate, maxlen)
@@ -232,9 +224,8 @@ def lang_gap(tau="tau", alpha="a"):
                 return False
         return True
 
-    closed = parse_ratfun(
-        TS, "(t*s + 1)/(1 - 2*t - s + t^2 + t*s - t^2*s - t*s^2)"
-    )
+    t, s = MPoly.var(TS, "t"), MPoly.var(TS, "s")
+    closed = RatFun(t * s + 1, 1 - 2 * t - s + t**2 + t * s - t**2 * s - t * s**2)
     return FiltrationLanguage(
         "gap",
         alphabet,
@@ -263,7 +254,7 @@ def _check_pair(a, b):
             raise ValueError("pair factors must be single-class languages")
 
 
-def lang_segre(a, b, checked=False, check_len=6):
+def lang_segre(a, b):
     """Interleaved product language whose counts multiply the factor counts.
 
     Letters: a's tau letters (class 1), b's tau letters (class 2), and one
@@ -323,12 +314,10 @@ def lang_segre(a, b, checked=False, check_len=6):
         dfa,
         predicate,
         (0, 1, 1),
-        checked=checked,
-        check_len=check_len,
     )
 
 
-def lang_concat(a, b, checked=False, check_len=6):
+def lang_concat(a, b):
     """Words of a followed by words of b; counts convolve over content degree."""
     _check_pair(a, b)
     alphabet = _reclass(a.alphabet, 1).merged(_reclass(b.alphabet, 2))
@@ -365,8 +354,6 @@ def lang_concat(a, b, checked=False, check_len=6):
         dfa,
         predicate,
         (0, 1, 1),
-        checked=checked,
-        check_len=check_len,
     )
 
 
@@ -378,44 +365,31 @@ def ideal_gap_series():
     the closed form shipped with the gap family for comparison.
     """
     gap = lang_gap()
-    t = MPoly.var(TS, "t")
-    s = MPoly.var(TS, "s")
-    ambient = RatFun(MPoly.var(TS, "s"), (1 - t) ** 2 - s)
+    t, s = MPoly.var(TS, "t"), MPoly.var(TS, "s")
+    ambient = RatFun(s, (1 - t) ** 2 - s)
     computed = ambient - gap.series()
-    stated = parse_ratfun(
-        TS,
-        "(t*s^4 - t*s^3 - t^2*s + s^3 + t*s - s)/"
-        "(t^2*s^3 + t*s^4 - t^3*s - 4*t^2*s^2 - 3*t*s^3 + t^3 + 4*t^2*s"
-        " + 5*t*s^2 + s^3 - 2*t^2 - 6*t*s - 3*s^2 + 3*t + 3*s - 1)",
+    stated = RatFun(
+        t * s**4 - t * s**3 - t**2 * s + s**3 + t * s - s,
+        t**2 * s**3 + t * s**4 - t**3 * s - 4 * t**2 * s**2 - 3 * t * s**3 + t**3
+        + 4 * t**2 * s + 5 * t * s**2 + s**3 - 2 * t**2 - 6 * t * s - 3 * s**2
+        + 3 * t + 3 * s - 1,
     )
     return computed, stated
 
 
-def builtin_single(kind, c=None):
+def builtin_single(kind, c=None, tau="tau", alpha="a"):
     if kind == "poly-ring":
-        return lang_poly_ring(2 if c is None else c)
+        return lang_poly_ring(2 if c is None else c, tau=tau, alpha=alpha)
     if kind == "window-squares":
-        return lang_window_squares(2 if c is None else c)
+        return lang_window_squares(2 if c is None else c, tau=tau, alpha=alpha)
     if kind == "gap":
-        return lang_gap()
+        return lang_gap(tau=tau, alpha=alpha)
     raise ValueError("unknown language %r" % kind)
 
 
-def builtin_pair(op, kind_a, c_a, kind_b, c_b, checked=False):
-    if kind_a == "gap":
-        a = lang_gap()
-    else:
-        a = builtin_single(kind_a, c_a)
-    if kind_b == "gap":
-        b = lang_gap(tau="tau2", alpha="b")
-    elif kind_b == "poly-ring":
-        b = lang_poly_ring(2 if c_b is None else c_b, tau="tau2", alpha="b")
-    elif kind_b == "window-squares":
-        b = lang_window_squares(2 if c_b is None else c_b, tau="tau2", alpha="b")
-    else:
-        raise ValueError("unknown language %r" % kind_b)
-    if op == "segre":
-        return lang_segre(a, b, checked=checked)
-    if op == "concat":
-        return lang_concat(a, b, checked=checked)
-    raise ValueError("unknown pair op %r" % op)
+def builtin_pair(op, kind_a, c_a, kind_b, c_b):
+    if op not in ("segre", "concat"):
+        raise ValueError("unknown pair op %r" % op)
+    a = builtin_single(kind_a, c_a)
+    b = builtin_single(kind_b, c_b, tau="tau2", alpha="b")
+    return (lang_segre if op == "segre" else lang_concat)(a, b)

@@ -12,7 +12,6 @@ from equihilb.cli import main as cli_main
 from equihilb.exactalg import (
     RatFun,
     VarSet,
-    parse_ratfun,
     rat_equal,
     series_expand,
     table_mismatches,
@@ -47,6 +46,7 @@ from equihilb.toric import (
     presentation_image,
     quadric_family,
 )
+from polytext import parse_ratfun
 
 TS = VarSet(["t", "s"])
 

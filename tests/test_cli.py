@@ -4,6 +4,7 @@ import json
 
 from click.testing import CliRunner
 
+from equihilb import cli
 from equihilb.cli import main
 
 
@@ -48,6 +49,36 @@ def test_series_ideal_gap_reports_mismatch():
     assert "MISMATCH" in res.output
     data = json.loads(run("series", "ideal-gap", "--format", "json").output)
     assert data["results"]["equal"] is False
+
+
+def test_series_ideal_gap_rejects_table_options():
+    res = run("series", "ideal-gap", "--format", "csv")
+    assert res.exit_code == 2
+    assert "csv output needs --expand" in res.output
+    res = run("series", "ideal-gap", "--expand", "3,3")
+    assert res.exit_code == 2
+    assert "ideal-gap takes no --expand" in res.output
+
+
+def test_series_checked_pair():
+    res = run("series", "segre", "--a", "gap", "--b", "window-squares", "--b-c", "1",
+              "--checked")
+    assert res.exit_code == 0
+    assert res.output.startswith("segre(gap, window-squares(1)):")
+
+
+def test_series_checked_pair_reports_mismatch(monkeypatch):
+    real = cli.builtin_pair
+
+    def wrong_predicate(*args):
+        lang = real(*args)
+        lang.predicate = lambda word: len(word) < 3
+        return lang
+
+    monkeypatch.setattr(cli, "builtin_pair", wrong_predicate)
+    res = run("series", "segre", "--checked")
+    assert res.exit_code == 1
+    assert "automaton/predicate mismatch" in res.output
 
 
 def test_series_segre_json():
@@ -273,3 +304,15 @@ def test_export_dot():
     res = run("export", "gap", "--what", "alt-dfa")
     assert res.exit_code == 2
     assert "has no alt-dfa" in res.output
+
+
+def test_export_caps_sizes():
+    # export takes no --unsafe, so the cap holds and the message offers none
+    for args in (["poly-ring", "--c", "3000"],
+                 ["segre", "--a", "poly-ring", "--a-c", "60", "--b", "poly-ring", "--b-c", "60"],
+                 ["concat", "--b-c", "11"]):
+        res = run("export", *args)
+        assert res.exit_code == 2, args
+        assert "exceeds the safety cap 10" in res.output
+        assert "--unsafe" not in res.output
+    assert run("export", "poly-ring", "--c", "10").exit_code == 0

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from equihilb.automata import Alphabet, Dfa
-from equihilb.exactalg import VarSet, MPoly, RatFun, parse_poly, parse_ratfun, rat_equal
+from equihilb.exactalg import VarSet, MPoly, RatFun, rat_equal
 from equihilb.genfun import WeightFn, transfer_matrix, transfer_series, series_check
+from polytext import parse_ratfun
 
 TS = VarSet(["t", "s"])
 AB = Alphabet([("tau", ("count", 1)), ("a", ("content",))])

@@ -1,5 +1,6 @@
 """Tests for the built-in filtration languages and their closed forms."""
 
+import itertools
 import re
 
 import pytest
@@ -8,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 from equihilb.automata import Alphabet, Dfa, dp_count, language_agrees
 from equihilb.exactalg import (
     VarSet,
-    parse_ratfun,
     rat_equal,
+    ratfun_to_text,
     series_expand,
     table_mismatches,
 )
@@ -25,6 +26,7 @@ from equihilb.langlib import (
     ideal_gap_series,
 )
 from equihilb.monoracle import segre_counts, tensor_counts
+from polytext import parse_ratfun
 
 TS = VarSet(["t", "s"])
 
@@ -192,6 +194,45 @@ def test_builtin_pair():
     assert "b1" in cat.alphabet.names
     with pytest.raises(ValueError):
         builtin_pair("twist", "poly-ring", 1, "poly-ring", 1)
+
+
+def fingerprint(lang):
+    # the series is a function of these: the weighted letters, the offset
+    # and the automaton
+    kinds = [(n, lang.alphabet.kind(n)) for n in lang.alphabet.names]
+    return lang.name, kinds, lang.vars, lang.offset_exp, lang.dfa.to_dot("x")
+
+
+SINGLES = [("gap", None, lang_gap)] + [
+    (kind, c, make)
+    for kind, make in (("poly-ring", lang_poly_ring), ("window-squares", lang_window_squares))
+    for c in (1, 2, 3)
+]
+
+
+def test_builtins_match_their_constructors():
+    # builtin_pair builds each factor through builtin_single, the second
+    # one with renamed letters; both must give the languages the
+    # constructors give, down to the DOT text
+    for kind, c, make in SINGLES:
+        lang, want = builtin_single(kind, c), make(*(() if c is None else (c,)))
+        assert fingerprint(lang) == fingerprint(want)
+        assert ratfun_to_text(lang.series()) == ratfun_to_text(want.series())
+    for (ka, ca, make_a), (kb, cb, make_b) in itertools.product(SINGLES[:5], repeat=2):
+        a = make_a(*(() if ca is None else (ca,)))
+        b = make_b(*(() if cb is None else (cb,)), tau="tau2", alpha="b")
+        for op, pair in (("segre", lang_segre), ("concat", lang_concat)):
+            assert fingerprint(builtin_pair(op, ka, ca, kb, cb)) == fingerprint(pair(a, b))
+
+
+def test_shipped_forms_print_as_before():
+    closed = dict(lang_gap().reference_series)["closed form"]
+    assert ratfun_to_text(closed) == (
+        "(-1 - t*s)/(-1 + s + 2*t - t*s - t^2 + t*s^2 + t^2*s)")
+    assert ratfun_to_text(ideal_gap_series()[1]) == (
+        "(s - t*s - s^3 + t^2*s + t*s^3 - t*s^4)/(1 - 3*s - 3*t + 3*s^2 + 6*t*s"
+        " + 2*t^2 - s^3 - 5*t*s^2 - 4*t^2*s - t^3 + 3*t*s^3 + 4*t^2*s^2 + t^3*s"
+        " - t*s^4 - t^2*s^3)")
 
 
 def test_ideal_gap_series():
