@@ -1,8 +1,8 @@
 """Finite automata over counted alphabets.
 
-Letters either carry a size class ("count", k), contributing to the k-th
-size variable, or are ("content",) letters contributing to internal degree.
-DFAs are partial: a missing transition rejects.
+Every letter counts on one axis of a word's profile: axis 0 is the content
+degree and axis k >= 1 is size class k.  DFAs are partial: a missing
+transition rejects.
 """
 
 import collections
@@ -11,56 +11,37 @@ from .exactalg import CountTable, flat_box
 
 
 class Alphabet:
-    """Fixed-order symbol list with a counting kind per symbol."""
+    """Fixed-order letters, each counted on one axis; size classes are 1..sizes."""
 
-    __slots__ = ("names", "kinds")
+    __slots__ = ("names", "axis", "sizes")
 
-    def __init__(self, symbols):
-        # symbols: iterable of (name, kind), kind = ("count", k) or ("content",)
-        self.names = tuple(name for name, _ in symbols)
+    def __init__(self, letters):
+        # letters: iterable of (name, axis)
+        letters = list(letters)
+        self.names = tuple(name for name, _ in letters)
         if len(set(self.names)) != len(self.names):
             raise ValueError("duplicate symbol names")
-        self.kinds = {name: kind for name, kind in symbols}
-        for kind in self.kinds.values():
-            if kind[0] == "count":
-                if len(kind) != 2 or kind[1] < 1:
-                    raise ValueError("bad count kind %r" % (kind,))
-            elif kind != ("content",):
-                raise ValueError("bad kind %r" % (kind,))
+        self.axis = dict(letters)
+        classes = sorted(set(self.axis.values()) - {0})
+        if classes and classes[0] < 0:
+            raise ValueError("negative axis %d" % classes[0])
+        if classes != list(range(1, len(classes) + 1)):
+            raise ValueError("size classes must be 1..k, got %r" % (classes,))
+        self.sizes = len(classes)
 
-    def kind(self, name):
-        return self.kinds[name]
-
-    def count_classes(self):
-        return sorted({k[1] for k in self.kinds.values() if k[0] == "count"})
-
-    def content_names(self):
-        return tuple(n for n in self.names if self.kinds[n] == ("content",))
-
-    def count_names(self, cls=None):
-        return tuple(
-            n
-            for n in self.names
-            if self.kinds[n][0] == "count" and (cls is None or self.kinds[n][1] == cls)
-        )
+    def on(self, axis):
+        """The letters counted on axis, in alphabet order."""
+        return tuple(n for n in self.names if self.axis[n] == axis)
 
     def __eq__(self, other):
         return (
             isinstance(other, Alphabet)
             and self.names == other.names
-            and self.kinds == other.kinds
+            and self.axis == other.axis
         )
 
     def __repr__(self):
         return "Alphabet(%r)" % (self.names,)
-
-    def merged(self, other):
-        if set(self.names) & set(other.names):
-            raise ValueError("overlapping alphabets")
-        return Alphabet(
-            [(n, self.kinds[n]) for n in self.names]
-            + [(n, other.kinds[n]) for n in other.names]
-        )
 
 
 class Dfa:
@@ -222,38 +203,20 @@ def hom_preimage(dfa, alphabet, hom):
     return Dfa(alphabet, dfa.r, dfa.start, dfa.accepts, trans)
 
 
-def _profile_shape(alphabet):
-    classes = alphabet.count_classes()
-    if classes != list(range(1, len(classes) + 1)):
-        raise ValueError("count classes must be 1..k, got %r" % (classes,))
-    return classes
-
-
-def _letter_delta(alphabet, classes, sym):
-    kind = alphabet.kind(sym)
-    delta = [0] * (1 + len(classes))
-    if kind == ("content",):
-        delta[0] = 1
-    else:
-        delta[kind[1]] = 1
-    return tuple(delta)
-
-
 def dp_count(dfa, dmax, size_bounds):
     """Accepted-word counts by profile (d, m) or (d, m, n); d is content degree.
 
     N_q[k], the number of words of profile k leading from the start state to
     q, obeys the pull recurrence
 
-        N_q[k] = [k = 0 and q = start] + sum_{(p, sym) -> q} N_p[k - delta(sym)],
+        N_q[k] = [k = 0 and q = start] + sum_{(p, sym) -> q} N_p[k - e_axis(sym)],
 
     and cell k of the table is the sum of N_q[k] over accepting q.  Each N_q
     is one flat list on the box of exactalg.flat_box, padded by 1 on every
-    axis; every letter adds a unit vector, so row-major order evaluates each
-    cell after the cells it reads.
+    axis; every letter adds the unit vector of its axis, so row-major order
+    evaluates each cell after the cells it reads.
     """
-    classes = _profile_shape(dfa.alphabet)
-    if len(size_bounds) != len(classes):
+    if len(size_bounds) != dfa.alphabet.sizes:
         raise ValueError("size bound arity mismatch")
     bounds = (dmax,) + tuple(size_bounds)
     strides, origin, size, rows = flat_box(bounds, (1,) * len(bounds))
@@ -263,7 +226,7 @@ def dp_count(dfa, dmax, size_bounds):
     # letters of one axis between the same two states pull the same cell
     arrows = {}
     for (p, sym), q in dfa.trans.items():
-        off = strides[_letter_delta(dfa.alphabet, classes, sym).index(1)]
+        off = strides[dfa.alphabet.axis[sym]]
         arrows.setdefault(q, collections.Counter())[(p, off)] += 1
     pulls = [
         (counts[q], [(c, counts[p], off) for (p, off), c in ins.items()])
@@ -287,34 +250,34 @@ def dp_count(dfa, dmax, size_bounds):
 
 def enumerate_words(dfa, profile):
     """All accepted words with the exact profile (d, m[, n]), lexicographic."""
-    classes = _profile_shape(dfa.alphabet)
-    if len(profile) != 1 + len(classes):
+    if len(profile) != 1 + dfa.alphabet.sizes:
         raise ValueError("profile arity mismatch")
-    deltas = {sym: _letter_delta(dfa.alphabet, classes, sym) for sym in dfa.alphabet.names}
+    axis = dfa.alphabet.axis
+    remaining = list(profile)
     out = []
     word = []
 
-    def rec(q, remaining):
+    def rec(q):
         if not any(remaining):
             if q in dfa.accepts:
                 out.append(tuple(word))
             return
         for sym in dfa.alphabet.names:
             q2 = dfa.trans.get((q, sym))
-            if q2 is None:
+            k = axis[sym]
+            if q2 is None or remaining[k] <= 0:
                 continue
-            rem2 = tuple(a - b for a, b in zip(remaining, deltas[sym]))
-            if any(x < 0 for x in rem2):
-                continue
+            remaining[k] -= 1
             word.append(sym)
-            rec(q2, rem2)
+            rec(q2)
             word.pop()
+            remaining[k] += 1
 
-    rec(dfa.start, tuple(profile))
+    rec(dfa.start)
     return out
 
 
-def language_agrees(dfa, predicate, maxlen, require_prefix_closed=True):
+def language_agrees(dfa, predicate, maxlen):
     """Check dfa vs predicate on all words up to maxlen.
 
     Prunes subtrees where the DFA has no transition and the predicate is
@@ -335,7 +298,7 @@ def language_agrees(dfa, predicate, maxlen, require_prefix_closed=True):
             checked += 1
             if in_dfa != in_pred:
                 return tuple(w2)
-            if require_prefix_closed and in_pred and not pred_here:
+            if in_pred and not pred_here:
                 return tuple(w2)  # predicate not prefix closed: treat as failure
             if q2 is not None or in_pred:
                 bad = rec(w2, q2, in_pred)

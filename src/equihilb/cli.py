@@ -6,6 +6,7 @@ import re
 import sys
 
 import click
+from click.core import ParameterSource
 
 from .exactalg import rat_equal, ratfun_to_text, series_expand
 from .langlib import (
@@ -108,8 +109,9 @@ def _build_language(selector, c, a, a_c, b, b_c, checked):
 def series(ctx, selector, c, a, a_c, b, b_c, expand, checked, unsafe, fmt):
     """Print the equivariant Hilbert series of a built-in language."""
     if selector == "ideal-gap":
-        if expand:
-            raise click.UsageError("ideal-gap takes no --expand")
+        for name in ("c", "a", "a_c", "b", "b_c", "expand", "checked"):
+            if ctx.get_parameter_source(name) is not ParameterSource.DEFAULT:
+                raise click.UsageError("ideal-gap takes no --%s" % name.replace("_", "-"))
         if fmt == "csv":
             raise click.UsageError("csv output needs --expand, which ideal-gap does not take")
         computed, stated = ideal_gap_series()
@@ -138,18 +140,14 @@ def series(ctx, selector, c, a, a_c, b, b_c, expand, checked, unsafe, fmt):
     ser = lang.series()
     results = {"series": ratfun_to_text(ser)}
     lines = ["%s:" % lang.name, "  series: %s" % ratfun_to_text(ser)]
-    for label, ref in lang.reference_series:
+    forms = list(lang.reference_series)
+    alt = lang.alt_series()
+    if alt is not None:
+        forms.append(("alt automaton", alt))
+    for label, ref in forms:
         eq = rat_equal(lang.transfer(), ref)
         results[label] = {"value": ratfun_to_text(ref), "matches_transfer": eq}
         lines.append("  %s (transfer): %s  [%s]" % (label, ratfun_to_text(ref), "agrees" if eq else "DIFFERS"))
-    alt = lang.alt_series()
-    if alt is not None:
-        eq = rat_equal(lang.transfer(), alt)
-        results["alt automaton"] = {"value": ratfun_to_text(alt), "matches_transfer": eq}
-        lines.append(
-            "  alt automaton (transfer): %s  [%s]"
-            % (ratfun_to_text(alt), "agrees" if eq else "DIFFERS")
-        )
     if lang.notes:
         lines.append("  note: %s" % lang.notes)
     payload = {

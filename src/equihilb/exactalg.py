@@ -204,12 +204,8 @@ class RatFun:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=None):
-        if isinstance(num, int):
-            num = MPoly.const(den.vars if den is not None else TS, num)
         if den is None:
             den = MPoly.const(num.vars, 1)
-        if isinstance(den, int):
-            den = MPoly.const(num.vars, den)
         if num.vars != den.vars:
             raise ValueError("mixed variable sets")
         if den.is_zero():

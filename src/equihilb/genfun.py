@@ -7,54 +7,33 @@ By Cramer's rule it is one ratio of determinants,
     u^T (I - A)^{-1} e = -det([[I - A, e], [u^T, 0]]) / det(I - A),
 
 and both are leading principal minors of the bordered matrix, so a single
-fraction-free elimination gives the series.  WeightFn admits only
-non-constant monomial weights, so every leading principal minor of I - A has
-constant term 1 and the elimination needs no pivoting.
+fraction-free elimination gives the series.  Every WeightFn weight is a
+single variable, so every leading principal minor of I - A has constant
+term 1 and the elimination needs no pivoting.
 
 The denominator's constant term is therefore +-1, so series_check can expand
 the series by exactalg.series_expand in integers and compare it cell by cell
 with automata.dp_count, which counts the accepted words directly.
 """
 
-from .exactalg import MPoly, RatFun, bareiss_minors, series_expand, table_mismatches
+from .exactalg import TS, MPoly, RatFun, VarSet, bareiss_minors, series_expand, table_mismatches
 from .automata import dp_count, minimize
 
 
 class WeightFn:
-    """Symbol -> monomial weight over a fixed variable set."""
+    """Letter weights fixed by the alphabet: a content letter weighs t and a
+    class-k letter the k-th size variable, s when there is one class and
+    s1, s2, ... otherwise."""
 
-    __slots__ = ("alphabet", "vars", "exps")
+    __slots__ = ("alphabet", "vars")
 
-    def __init__(self, alphabet, vars, exps):
+    def __init__(self, alphabet):
         self.alphabet = alphabet
-        self.vars = vars
-        self.exps = dict(exps)
-        for name in alphabet.names:
-            if name not in self.exps:
-                raise ValueError("no weight for symbol %r" % name)
-            if not any(self.exps[name]):
-                raise ValueError("weight of %r must be a non-constant monomial" % name)
-
-    @classmethod
-    def standard(cls, alphabet, vars):
-        """Content letters weigh t; class-k letters weigh the k-th size variable."""
-        classes = alphabet.count_classes()
-        size_names = vars.names[1:]
-        if len(size_names) < len(classes):
-            raise ValueError("not enough size variables for %r" % (classes,))
-        exps = {}
-        for name in alphabet.names:
-            kind = alphabet.kind(name)
-            e = [0] * len(vars)
-            if kind == ("content",):
-                e[0] = 1
-            else:
-                e[kind[1]] = 1
-            exps[name] = tuple(e)
-        return cls(alphabet, vars, exps)
+        k = alphabet.sizes
+        self.vars = TS if k == 1 else VarSet(("t",) + tuple("s%d" % i for i in range(1, k + 1)))
 
     def monomial(self, name):
-        return MPoly.monomial(self.vars, self.exps[name])
+        return MPoly.var(self.vars, self.vars.names[self.alphabet.axis[name]])
 
 
 def transfer_matrix(dfa, weights):

@@ -1,12 +1,12 @@
 """Built-in counted languages for algebra filtrations.
 
-Each language bundles a definitional membership predicate, a hand-coded or
-constructed partial DFA, standard weights, and the size-variable offset
-relating word counts to algebra dimensions (window n counts words with
-n-1 letters of the size class).
+Each language bundles a definitional membership predicate and a hand-coded
+or constructed partial DFA.  Its alphabet fixes the letter weights and the
+size-variable offset relating word counts to algebra dimensions (window n
+counts words with n-1 letters of the size class).
 """
 
-from .exactalg import TS, TSS, MPoly, RatFun
+from .exactalg import TS, MPoly, RatFun
 from .automata import (
     Alphabet,
     Dfa,
@@ -25,24 +25,21 @@ class FiltrationLanguage:
         self,
         name,
         alphabet,
-        vars,
         dfa,
         predicate,
-        offset_exp,
         alt_dfa=None,
         reference_series=(),
         notes="",
     ):
         self.name = name
         self.alphabet = alphabet
-        self.vars = vars
         self.dfa = dfa
         self.predicate = predicate
-        self.offset_exp = tuple(offset_exp)
         self.alt_dfa = alt_dfa
         self.reference_series = list(reference_series)
         self.notes = notes
-        self.weights = WeightFn.standard(alphabet, vars)
+        self.weights = WeightFn(alphabet)
+        self.vars = self.weights.vars
         self._transfer = None
 
     def check(self, maxlen):
@@ -54,7 +51,8 @@ class FiltrationLanguage:
         return self._transfer
 
     def offset(self):
-        return RatFun(MPoly.monomial(self.vars, self.offset_exp))
+        """s^1 on each size axis: window n counts words with n-1 size letters."""
+        return RatFun(MPoly.monomial(self.vars, (0,) + (1,) * self.alphabet.sizes))
 
     def series(self):
         """Equivariant Hilbert series: size-offset times the transfer series."""
@@ -70,7 +68,7 @@ class FiltrationLanguage:
 
 
 def _single_alphabet(tau, alphas):
-    return Alphabet([(tau, ("count", 1))] + [(a, ("content",)) for a in alphas])
+    return Alphabet([(tau, 1)] + [(a, 0) for a in alphas])
 
 
 def lang_poly_ring(c, tau="tau", alpha="a"):
@@ -113,10 +111,8 @@ def lang_poly_ring(c, tau="tau", alpha="a"):
     return FiltrationLanguage(
         "poly-ring(%d)" % c,
         alphabet,
-        TS,
         dfa,
         predicate,
-        (0, 1),
         reference_series=[("closed form", closed)],
     )
 
@@ -173,10 +169,8 @@ def lang_window_squares(c, tau="tau", alpha="a"):
     return FiltrationLanguage(
         "window-squares(%d)" % c,
         alphabet,
-        TS,
         dfa,
         predicate,
-        (0, 1),
         alt_dfa=alt_dfa,
         reference_series=[("closed form", closed), ("alt closed form", alt_closed)],
         notes=(
@@ -229,28 +223,21 @@ def lang_gap(tau="tau", alpha="a"):
     return FiltrationLanguage(
         "gap",
         alphabet,
-        TS,
         dfa,
         predicate,
-        (0, 1),
         reference_series=[("closed form", closed)],
     )
 
 
 def _reclass(alphabet, cls):
-    return Alphabet(
-        [
-            (n, ("count", cls) if alphabet.kind(n)[0] == "count" else ("content",))
-            for n in alphabet.names
-        ]
-    )
+    return [(n, cls if alphabet.axis[n] else 0) for n in alphabet.names]
 
 
 def _check_pair(a, b):
     if set(a.alphabet.names) & set(b.alphabet.names):
         raise ValueError("pair languages must use disjoint letter names")
     for lang in (a, b):
-        if lang.alphabet.count_classes() != [1]:
+        if lang.alphabet.sizes != 1:
             raise ValueError("pair factors must be single-class languages")
 
 
@@ -261,17 +248,15 @@ def lang_segre(a, b):
     fused content letter g(x,y) per content pair; blocks are tau1* tau2* g.
     """
     _check_pair(a, b)
-    taus_a = a.alphabet.count_names()
-    taus_b = b.alphabet.count_names()
-    cont_a = a.alphabet.content_names()
-    cont_b = b.alphabet.content_names()
+    taus_a, taus_b = a.alphabet.on(1), b.alphabet.on(1)
+    cont_a, cont_b = a.alphabet.on(0), b.alphabet.on(0)
     gammas = {}
-    symbols = [(n, ("count", 1)) for n in taus_a] + [(n, ("count", 2)) for n in taus_b]
+    symbols = [(n, 1) for n in taus_a] + [(n, 2) for n in taus_b]
     for x in cont_a:
         for y in cont_b:
             g = "g(%s,%s)" % (x, y)
             gammas[g] = (x, y)
-            symbols.append((g, ("content",)))
+            symbols.append((g, 0))
     alphabet = Alphabet(symbols)
 
     hom_a = {n: (n,) for n in taus_a}
@@ -310,17 +295,15 @@ def lang_segre(a, b):
     return FiltrationLanguage(
         "segre(%s, %s)" % (a.name, b.name),
         alphabet,
-        TSS,
         dfa,
         predicate,
-        (0, 1, 1),
     )
 
 
 def lang_concat(a, b):
     """Words of a followed by words of b; counts convolve over content degree."""
     _check_pair(a, b)
-    alphabet = _reclass(a.alphabet, 1).merged(_reclass(b.alphabet, 2))
+    alphabet = Alphabet(_reclass(a.alphabet, 1) + _reclass(b.alphabet, 2))
     # the letter sets are disjoint, so every accepting state of a can also
     # take b's first step without making the machine nondeterministic
     off = a.dfa.r
@@ -350,10 +333,8 @@ def lang_concat(a, b):
     return FiltrationLanguage(
         "concat(%s, %s)" % (a.name, b.name),
         alphabet,
-        TSS,
         dfa,
         predicate,
-        (0, 1, 1),
     )
 
 

@@ -163,9 +163,9 @@ def word_to_monomial(kind, word, tau, alpha_index):
 
 
 def _letter_indices(lang):
-    tau = lang.alphabet.count_names()[0]
+    tau = lang.alphabet.on(1)[0]
     idx = {}
-    for name in lang.alphabet.content_names():
+    for name in lang.alphabet.on(0):
         digits = "".join(ch for ch in name if ch.isdigit())
         idx[name] = int(digits)
     return tau, idx

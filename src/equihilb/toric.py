@@ -29,18 +29,17 @@ class Binomial:
 
     __slots__ = ("u", "v")
 
-    def __init__(self, u, v, cancel=True):
+    def __init__(self, u, v):
         u = {e: k for e, k in u.items() if k}
         v = {e: k for e, k in v.items() if k}
-        if cancel:
-            for e in set(u) & set(v):
-                t = min(u[e], v[e])
-                u[e] -= t
-                v[e] -= t
-                if not u[e]:
-                    del u[e]
-                if not v[e]:
-                    del v[e]
+        for e in set(u) & set(v):
+            t = min(u[e], v[e])
+            u[e] -= t
+            v[e] -= t
+            if not u[e]:
+                del u[e]
+            if not v[e]:
+                del v[e]
         self.u = u
         self.v = v
 
@@ -54,7 +53,6 @@ class Binomial:
         return Binomial(
             {(i + k, j + k): e for (i, j), e in self.u.items()},
             {(i + k, j + k): e for (i, j), e in self.v.items()},
-            cancel=False,
         )
 
     def min_vertex(self):
@@ -146,7 +144,7 @@ class GenElement:
     def binomial(self):
         u = {e: w for e, w in self.w.items() if w > 0}
         v = {e: -w for e, w in self.w.items() if w < 0}
-        return Binomial(u, v, cancel=False)
+        return Binomial(u, v)
 
     def child(self, step):
         """Append a 1-step (span +2) or 2-step (span +3) to the sequence."""

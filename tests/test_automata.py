@@ -17,13 +17,12 @@ from equihilb.automata import (
     language_agrees,
 )
 
-AB = Alphabet([("tau", ("count", 1)), ("a", ("content",)), ("b", ("content",))])
+AB = Alphabet([("tau", 1), ("a", 0), ("b", 0)])
 # (a tau)*
 A_TAU = Dfa(AB, 2, 0, frozenset({0}), {(0, "a"): 1, (1, "tau"): 0})
 # (a|b|tau)*
 ANY = Dfa(AB, 1, 0, frozenset({0}), {(0, sym): 0 for sym in AB.names})
-AB2 = Alphabet([("tau", ("count", 1)), ("sig", ("count", 2)),
-                ("a", ("content",)), ("b", ("content",))])
+AB2 = Alphabet([("tau", 1), ("sig", 2), ("a", 0), ("b", 0)])
 
 
 def all_words(names, maxlen):
@@ -46,17 +45,18 @@ def same_dfa(d1, d2):
 
 def test_alphabet_kinds():
     assert AB.names == ("tau", "a", "b")
-    assert AB.kind("tau") == ("count", 1)
-    assert AB.kind("a") == ("content",)
-    assert AB.count_classes() == [1]
-    assert AB.content_names() == ("a", "b")
-    assert AB.count_names(1) == ("tau",)
+    assert AB.axis == {"tau": 1, "a": 0, "b": 0}
+    assert AB.sizes == 1 and AB2.sizes == 2
+    assert AB.on(0) == ("a", "b")
+    assert AB.on(1) == ("tau",)
+    assert AB2.on(2) == ("sig",)
     with pytest.raises(ValueError):
-        Alphabet([("x", ("content",)), ("x", ("content",))])
-    with pytest.raises(ValueError):
-        Alphabet([("x", ("count", 0))])
-    with pytest.raises(ValueError):
-        Alphabet([("x", ("weird",))])
+        Alphabet([("x", 0), ("x", 0)])
+    # size classes are 1..k: class 2 without class 1 is rejected
+    with pytest.raises(ValueError, match="1..k"):
+        Alphabet([("x", 2)])
+    with pytest.raises(ValueError, match="negative"):
+        Alphabet([("x", -1), ("y", 1)])
 
 
 def test_minimize_collapses():
@@ -149,6 +149,11 @@ def test_enumerate_words_exact_profile():
     assert len(words) == 12  # 4 letter patterns x 3 tau positions
     assert ("a", "a", "tau") in words
     assert all(w.count("tau") == 1 and len(w) == 3 for w in words)
+    # a negative entry leaves no word, however large the other entries
+    assert enumerate_words(ANY, (3, -1)) == []
+    assert enumerate_words(ANY, (-1, 0)) == []
+    with pytest.raises(ValueError):
+        enumerate_words(ANY, (1, 1, 1))
 
 
 def test_language_agrees_ok_and_counterexample():
@@ -167,7 +172,7 @@ def test_language_agrees_ok_and_counterexample():
 
 def test_language_agrees_prefix_closure():
     # words of length exactly 2: agrees with its own dfa, but is not
-    # prefix closed, which the default mode reports
+    # prefix closed, which is reported
     trans = {(q, sym): q + 1 for q in (0, 1) for sym in AB.names}
     two = Dfa(AB, 3, 0, frozenset({2}), trans)
 
@@ -176,8 +181,6 @@ def test_language_agrees_prefix_closure():
 
     ok, bad, _ = language_agrees(two, pred, 4)
     assert not ok and len(bad) == 2
-    ok, bad, _ = language_agrees(two, pred, 4, require_prefix_closed=False)
-    assert ok and bad is None
 
 
 def test_to_dot_deterministic():
@@ -246,9 +249,8 @@ def frontier_count(dfa, dmax, size_bounds):
     bounds = (dmax,) + tuple(size_bounds)
     deltas = {}
     for sym in dfa.alphabet.names:
-        kind = dfa.alphabet.kind(sym)
         delta = [0] * len(bounds)
-        delta[0 if kind == ("content",) else kind[1]] = 1
+        delta[dfa.alphabet.axis[sym]] = 1
         deltas[sym] = tuple(delta)
     out = {}
     frontier = {(dfa.start, (0,) * len(bounds)): 1}
@@ -276,7 +278,7 @@ def counted_dfas(draw):
     and a box of bounds 0..5 on each axis."""
     alphabet = draw(st.sampled_from([AB, AB2]))
     dfa = draw(partial_dfas(alphabet, any_start=True))
-    axes = 1 + len(alphabet.count_classes())
+    axes = 1 + alphabet.sizes
     return dfa, draw(st.tuples(*[st.integers(0, 5)] * axes))
 
 

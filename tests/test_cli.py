@@ -58,6 +58,13 @@ def test_series_ideal_gap_rejects_table_options():
     res = run("series", "ideal-gap", "--expand", "3,3")
     assert res.exit_code == 2
     assert "ideal-gap takes no --expand" in res.output
+    # the language options build nothing here, so giving one is an error
+    # that names it, even at its default value
+    for args in (["--c", "99", "--checked", "--a", "nope"], ["--checked"], ["--a", "gap"],
+                 ["--a-c", "1"], ["--b", "poly-ring"], ["--b-c", "2"]):
+        res = run("series", "ideal-gap", *args)
+        assert res.exit_code == 2
+        assert res.output.splitlines()[-1] == "Error: ideal-gap takes no %s" % args[0]
 
 
 def test_series_checked_pair():

@@ -1,6 +1,5 @@
 """Tests for transfer-matrix generating functions."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from equihilb.automata import Alphabet, Dfa
@@ -9,24 +8,26 @@ from equihilb.genfun import WeightFn, transfer_matrix, transfer_series, series_c
 from polytext import parse_ratfun
 
 TS = VarSet(["t", "s"])
-AB = Alphabet([("tau", ("count", 1)), ("a", ("content",))])
+AB = Alphabet([("tau", 1), ("a", 0)])
+AB2 = Alphabet([("tau", 1), ("sig", 2), ("a", 0)])
+TSS = VarSet(["t", "s1", "s2"])
 
 
 def test_weightfn_standard():
-    w = WeightFn.standard(AB, TS)
+    # the alphabet's size classes decide the variables: s for one, s1, s2 for two
+    w = WeightFn(AB)
+    assert w.vars == TS
     assert w.monomial("a") == MPoly.var(TS, "t")
     assert w.monomial("tau") == MPoly.var(TS, "s")
-    with pytest.raises(ValueError):
-        WeightFn.standard(AB, VarSet(["t"]))
-    with pytest.raises(ValueError):
-        WeightFn(AB, TS, {"a": (1, 0)})  # missing tau
-    with pytest.raises(ValueError):
-        WeightFn(AB, TS, {"a": (1, 0), "tau": (0, 0)})  # constant weight
+    w2 = WeightFn(AB2)
+    assert w2.vars == TSS
+    assert [w2.monomial(n) for n in ("a", "tau", "sig")] == [
+        MPoly.var(TSS, x) for x in ("t", "s1", "s2")]
 
 
 def test_transfer_one_state_free_monoid():
     dfa = Dfa(AB, 1, 0, frozenset({0}), {(0, "tau"): 0, (0, "a"): 0})
-    w = WeightFn.standard(AB, TS)
+    w = WeightFn(AB)
     f = transfer_series(dfa, w)
     assert rat_equal(f, parse_ratfun(TS, "1/(1 - t - s)"))
 
@@ -34,7 +35,7 @@ def test_transfer_one_state_free_monoid():
 def test_transfer_matrix_entries():
     # two states, a: 0->1, tau: 1->0
     dfa = Dfa(AB, 2, 0, frozenset({0}), {(0, "a"): 1, (1, "tau"): 0})
-    w = WeightFn.standard(AB, TS)
+    w = WeightFn(AB)
     mat = transfer_matrix(dfa, w)
     one = MPoly.const(TS, 1)
     t = MPoly.var(TS, "t")
@@ -49,40 +50,38 @@ def test_transfer_matrix_entries():
 def test_transfer_two_accepting_states():
     # (a tau)* plus its odd prefixes: every state accepting
     dfa = Dfa(AB, 2, 0, frozenset({0, 1}), {(0, "a"): 1, (1, "tau"): 0})
-    w = WeightFn.standard(AB, TS)
+    w = WeightFn(AB)
     f = transfer_series(dfa, w)
     assert rat_equal(f, parse_ratfun(TS, "(1 + t)/(1 - t*s)"))
 
 
 def test_transfer_ignores_unreachable_garbage():
     dfa = Dfa(AB, 3, 0, frozenset({0}), {(0, "tau"): 0, (0, "a"): 0, (2, "a"): 1})
-    w = WeightFn.standard(AB, TS)
+    w = WeightFn(AB)
     f = transfer_series(dfa, w)
     assert rat_equal(f, parse_ratfun(TS, "1/(1 - t - s)"))
 
 
 def test_series_check_agrees_with_counting():
     dfa = Dfa(AB, 2, 0, frozenset({0}), {(0, "a"): 1, (1, "tau"): 0, (0, "tau"): 0})
-    w = WeightFn.standard(AB, TS)
+    w = WeightFn(AB)
     ok, bad = series_check(dfa, w, 6, (6,))
     assert ok and not bad
 
 
 def test_series_check_two_count_classes():
-    ab2 = Alphabet([("tau", ("count", 1)), ("sig", ("count", 2)), ("a", ("content",))])
-    vs3 = VarSet(["t", "s", "u"])
-    dfa = Dfa(ab2, 1, 0, frozenset({0}),
+    dfa = Dfa(AB2, 1, 0, frozenset({0}),
               {(0, "tau"): 0, (0, "sig"): 0, (0, "a"): 0})
-    w = WeightFn.standard(ab2, vs3)
+    w = WeightFn(AB2)
     f = transfer_series(dfa, w)
-    assert rat_equal(f, parse_ratfun(vs3, "1/(1 - t - s - u)"))
+    assert rat_equal(f, parse_ratfun(TSS, "1/(1 - t - s1 - s2)"))
     ok, bad = series_check(dfa, w, 4, (4, 4))
     assert ok and not bad
 
 
 @st.composite
 def small_dfas(draw):
-    letters = [("tau", ("count", 1)), ("a", ("content",)), ("b", ("content",))]
+    letters = [("tau", 1), ("a", 0), ("b", 0)]
     alphabet = Alphabet(letters[: draw(st.integers(2, 3))])
     r = draw(st.integers(1, 4))
     targets = st.none() | st.integers(0, r - 1)
@@ -99,5 +98,5 @@ def small_dfas(draw):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(small_dfas())
 def test_series_check_random_partial_dfas(dfa):
-    ok, bad = series_check(dfa, WeightFn.standard(dfa.alphabet, TS), 5, (5,))
+    ok, bad = series_check(dfa, WeightFn(dfa.alphabet), 5, (5,))
     assert ok, bad

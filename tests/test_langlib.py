@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from equihilb.automata import Alphabet, Dfa, dp_count, language_agrees
 from equihilb.exactalg import (
+    MPoly,
+    RatFun,
     VarSet,
     rat_equal,
     ratfun_to_text,
@@ -29,6 +31,7 @@ from equihilb.monoracle import segre_counts, tensor_counts
 from polytext import parse_ratfun
 
 TS = VarSet(["t", "s"])
+TSS = VarSet(["t", "s1", "s2"])
 
 
 def ws_closed_text(c):
@@ -85,7 +88,7 @@ def test_gap_closed_form():
 
 def test_series_is_offset_times_transfer():
     for lang in (lang_poly_ring(2), lang_window_squares(1), lang_gap()):
-        assert lang.offset_exp == (0, 1)
+        assert lang.offset() == RatFun(MPoly.var(TS, "s"))
         assert rat_equal(lang.series(), lang.offset() * lang.transfer())
         tab = series_expand(lang.series(), (4, 4))
         for d in range(5):
@@ -130,7 +133,7 @@ def test_segre_identity():
     a = lang_poly_ring(1)
     b = lang_poly_ring(1, tau="tau2", alpha="b")
     seg = lang_segre(a, b)
-    assert seg.offset_exp == (0, 1, 1)
+    assert seg.vars == TSS and seg.offset() == RatFun(MPoly.monomial(TSS, (0, 1, 1)))
     pair_tab = dp_count(seg.dfa, 4, (4, 4))
     want = segre_counts(dp_count(a.dfa, 4, (4,)), dp_count(b.dfa, 4, (4,)))
     assert not table_mismatches(pair_tab, want)
@@ -187,7 +190,7 @@ def test_builtin_single():
 def test_builtin_pair():
     seg = builtin_pair("segre", "poly-ring", 1, "poly-ring", 1)
     assert isinstance(seg, FiltrationLanguage)
-    assert seg.offset_exp == (0, 1, 1)
+    assert seg.vars == TSS and seg.offset() == RatFun(MPoly.monomial(TSS, (0, 1, 1)))
     # second factor letters are renamed, so the union alphabet is disjoint
     assert "tau2" in seg.alphabet.names
     cat = builtin_pair("concat", "window-squares", 1, "poly-ring", 1)
@@ -197,10 +200,10 @@ def test_builtin_pair():
 
 
 def fingerprint(lang):
-    # the series is a function of these: the weighted letters, the offset
-    # and the automaton
-    kinds = [(n, lang.alphabet.kind(n)) for n in lang.alphabet.names]
-    return lang.name, kinds, lang.vars, lang.offset_exp, lang.dfa.to_dot("x")
+    # the series is a function of these: the letter axes, which fix the
+    # weights and the offset, and the automaton
+    axes = [(n, lang.alphabet.axis[n]) for n in lang.alphabet.names]
+    return lang.name, axes, lang.vars, lang.dfa.to_dot("x")
 
 
 SINGLES = [("gap", None, lang_gap)] + [
@@ -261,11 +264,11 @@ def random_language(draw, alphabet):
                 trans[(q, sym)] = q2
     accepts = draw(st.frozensets(st.integers(0, r - 1)))
     dfa = Dfa(alphabet, r, 0, accepts, trans)
-    return FiltrationLanguage("random", alphabet, TS, dfa, None, (0, 1))
+    return FiltrationLanguage("random", alphabet, dfa, None)
 
 
-FIRST = Alphabet([("tau", ("count", 1)), ("a", ("content",)), ("b", ("content",))])
-SECOND = Alphabet([("tau2", ("count", 1)), ("c", ("content",)), ("d", ("content",))])
+FIRST = Alphabet([("tau", 1), ("a", 0), ("b", 0)])
+SECOND = Alphabet([("tau2", 1), ("c", 0), ("d", 0)])
 
 
 def nonzero(tab, dmax):

@@ -32,10 +32,8 @@ from equihilb.toric import (
 
 def test_binomial_basics():
     b = Binomial({(1, 2): 1, (3, 4): 1}, {(1, 2): 1, (2, 4): 1})
-    # common factors cancel by default
+    # common factors cancel
     assert b.u == {(3, 4): 1} and b.v == {(2, 4): 1}
-    raw = Binomial({(1, 2): 1}, {(1, 2): 1}, cancel=False)
-    assert not raw.is_zero()
     assert Binomial({(1, 2): 1}, {(1, 2): 1}).is_zero()
     g = g2()
     assert g.shifted(1).shifted(-1) == g
@@ -67,7 +65,7 @@ def test_kernel_test():
         u = {e: 1 for e in rng.sample(edges, 2)}
         v = {e: 1 for e in rng.sample(edges, 2)}
         want = presentation_image(u) == presentation_image(v)
-        assert kernel_test(Binomial(u, v, cancel=False)) == want
+        assert kernel_test(Binomial(u, v)) == want
 
 
 def test_window_edges_and_validity():
