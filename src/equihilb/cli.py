@@ -319,6 +319,8 @@ def parse_edge_monomial(text):
         if not m or m.group(4) is not None:
             raise click.UsageError("bad edge monomial %r" % part)
         e = (int(m.group(1)), int(m.group(2)))
+        if not 1 <= e[0] <= e[1]:
+            raise click.UsageError("edge variable %r needs 1 <= i <= j in x[i,j]" % part)
         out[e] = out.get(e, 0) + int(m.group(3) or 1)
     return out
 
@@ -331,6 +333,8 @@ def parse_x_monomial(text):
         if not m or m.group(4) is None:
             raise click.UsageError("bad x-monomial %r" % part)
         v = int(m.group(4))
+        if v < 1:
+            raise click.UsageError("x-variable %r needs an index of at least 1" % part)
         out[v] = out.get(v, 0) + int(m.group(5) or 1)
     return out
 
@@ -473,6 +477,8 @@ def degree_stats(nmin, nmax, fmt):
     for value, what in ((nmin, "--nmin"), (nmax, "--nmax")):
         if value < 0:
             raise click.UsageError("%s=%d must not be negative" % (what, value))
+    if nmin > nmax:
+        raise click.UsageError("--nmin=%d is greater than --nmax=%d" % (nmin, nmax))
     if nmax > DEGREE_STATS_MAX:
         raise click.UsageError(
             "--nmax=%d exceeds the limit %d; the kernel family grows "

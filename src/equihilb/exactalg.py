@@ -7,6 +7,7 @@ and fixes the denominator's leading sign.
 """
 
 import itertools
+import math
 import operator
 
 
@@ -155,21 +156,6 @@ class MPoly:
         return poly_to_text(self)
 
 
-def _gcd_all(values):
-    g = 0
-    for v in values:
-        g = _gcd2(g, abs(v))
-        if g == 1:
-            break
-    return g
-
-
-def _gcd2(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def divexact(a, b):
     """Divide a by b, both MPoly, requiring the division to be exact."""
     if b.is_zero():
@@ -213,7 +199,7 @@ class RatFun:
         if num.is_zero():
             den = MPoly.const(num.vars, 1)
         else:
-            g = _gcd_all(itertools.chain(num.terms.values(), den.terms.values()))
+            g = math.gcd(*num.terms.values(), *den.terms.values())
             if den.terms[den.leading()] < 0:
                 g = -g
             if g != 1:

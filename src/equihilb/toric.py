@@ -1,10 +1,10 @@
 """Toric side of the window presentations.
 
 Edge variables x[i,j] map to x_i*x_j (`monoracle.presentation_image`), and
-a binomial lies in the kernel iff both sides have equal images.  Includes
-the recursive kernel family for the gap map, quadric families for the
-square maps, fiber enumeration and fiber-graph connectivity, and
-degree-reducing binomial reduction.
+a binomial lies in the kernel iff both sides have equal images.  A fiber,
+the edge monomials of one image, gives the kernel quadrics and the minimal
+generators.  Includes the recursive kernel family for the gap map, fiber
+enumeration, fiber-graph connectivity and degree-reducing reduction.
 """
 
 import itertools
@@ -19,29 +19,17 @@ from .monoracle import (
 )
 
 
-def edge_valid(kind, c, n, edge):
-    i, j = edge
-    return i >= 1 and j - i in edge_spans(kind, c) and (n is None or i <= n)
-
-
 class Binomial:
     """x^u - x^v over edge variables, stored with disjoint supports."""
 
     __slots__ = ("u", "v")
 
     def __init__(self, u, v):
-        u = {e: k for e, k in u.items() if k}
-        v = {e: k for e, k in v.items() if k}
-        for e in set(u) & set(v):
-            t = min(u[e], v[e])
-            u[e] -= t
-            v[e] -= t
-            if not u[e]:
-                del u[e]
-            if not v[e]:
-                del v[e]
-        self.u = u
-        self.v = v
+        diff = dict(u)
+        for e, k in v.items():
+            diff[e] = diff.get(e, 0) - k
+        self.u = {e: k for e, k in diff.items() if k > 0}
+        self.v = {e: -k for e, k in diff.items() if k < 0}
 
     def is_zero(self):
         return not self.u and not self.v
@@ -142,9 +130,7 @@ class GenElement:
         return sum(w for w in self.w.values() if w > 0)
 
     def binomial(self):
-        u = {e: w for e, w in self.w.items() if w > 0}
-        v = {e: -w for e, w in self.w.items() if w < 0}
-        return Binomial(u, v)
+        return Binomial(self.w, {})
 
     def child(self, step):
         """Append a 1-step (span +2) or 2-step (span +3) to the sequence."""
@@ -200,9 +186,8 @@ class GenElement:
                     return False
             prev = e
             sign = -sign
-        for e in w:
-            if not edge_valid("gap", None, None, e):
-                return False
+        if any(i < 1 or j - i not in edge_spans("gap", None) for i, j in w):
+            return False
         return kernel_test(self.binomial())
 
 
@@ -227,24 +212,13 @@ def build_gen_family(max_degree=None, max_span=None):
 
 
 def quadric_family(c, n):
-    """Window-valid kernel quadrics of the square map with bandwidth c."""
-    out = set()
-    for i in range(1, n + 1):
-        for j in range(i, i + c):
-            for k in range(j + 1, i + c + 1):
-                lo = max(i + 1, j - c, k - c)
-                hi = min(j + c, k + c)
-                for ell in range(lo, hi + 1):
-                    e1 = (i, j)
-                    e2 = (min(k, ell), max(k, ell))
-                    e3 = (i, k)
-                    e4 = (min(j, ell), max(j, ell))
-                    if not all(edge_valid("window-squares", c, n, e) for e in (e1, e2, e3, e4)):
-                        continue
-                    b = Binomial(multiset((e1, e2)), multiset((e3, e4)))
-                    if not b.is_zero():
-                        out.add(b)  # an equal binomial already in the set is kept
-    return sorted(out, key=Binomial.key)
+    """Kernel quadrics of the square map with bandwidth c in window n: each
+    pair of distinct edge monomials in one degree-2 fiber."""
+    fibers = {}
+    for m, img in edge_multisets("window-squares", c, n, 2):
+        fibers.setdefault(mono_freeze(img), []).append(m)
+    return sorted((Binomial(u, v) for group in fibers.values()
+                   for u, v in itertools.combinations(group, 2)), key=Binomial.key)
 
 
 def edge_multisets(kind, c, n, d):
@@ -291,33 +265,24 @@ def enumerate_fiber(kind, c, n, target):
 
 
 def shifts_in_window(b, kind, c, n):
-    """All shifts of b whose edges stay window-valid, labelled by offset."""
+    """All shifts of b whose edges are window edges, labelled by offset."""
+    edges = set(window_edges(kind, c, n))
     lo = 1 - b.min_vertex()
     hi = n - max(i for (i, j) in list(b.u) + list(b.v))
     out = []
     for k in range(lo, hi + 1):
         s = b.shifted(k)
-        if all(edge_valid(kind, c, n, e) for e in list(s.u) + list(s.v)):
+        if edges.issuperset(s.u) and edges.issuperset(s.v):
             out.append((k, s))
     return out
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.p = list(range(n))
-
-    def find(self, x):
-        while self.p[x] != x:
-            self.p[x] = self.p[self.p[x]]
-            x = self.p[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.p[ra] = rb
-        return True
+def _root(parent, x):
+    """Union-find root of x, halving the path on the way up."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
 
 
 def fiber_report(kind, c, n, target, moves, use_shifts=True):
@@ -335,21 +300,23 @@ def fiber_report(kind, c, n, target, moves, use_shifts=True):
                 mat.append(("%s%+d" % (label, k), s))
     else:
         mat = list(moves)
-    uf = _UnionFind(len(fiber))
+    parent = list(range(len(fiber)))
     used = set()
-    for f in fiber:
+    for a, f in enumerate(fiber):
         fd = dict(f)
         for label, b in mat:
             for u, v in ((b.u, b.v), (b.v, b.u)):
                 g = apply_move(fd, u, v)
-                if g is None:
+                other = None if g is None else index.get(mono_freeze(g))
+                if other is None:
                     continue
-                gf = mono_freeze(g)
-                if gf in index and uf.union(index[f], index[gf]):
+                ra, rb = _root(parent, a), _root(parent, other)
+                if ra != rb:
+                    parent[ra] = rb
                     used.add(label)
     comps = {}
-    for f in fiber:
-        comps.setdefault(uf.find(index[f]), []).append(f)
+    for a, f in enumerate(fiber):
+        comps.setdefault(_root(parent, a), []).append(f)
     components = sorted(sorted(mono_str(dict(f)) for f in comp) for comp in comps.values())
     return {
         "target": mono_str(target),
@@ -395,7 +362,7 @@ def _first_reduction(h, moves):
 def gen_degree_stats(nmin, nmax):
     """Max degree of the kernel family fitting window n vs the closed formula.
 
-    Window n holds the edges x[i,j] with i <= n (see edge_valid), so an
+    Window n holds the edges x[i,j] with i <= n (see window_edges), so an
     element fits iff its span is at most n + 1.  The quadric g2 has span 4
     and degree 2; the base element has span 7 and degree 4; a 1-step adds
     2 to the span and 1 to the degree, a 2-step adds 3 and 2.  Spending the
@@ -425,24 +392,22 @@ def minimal_generator_degrees(kind, c, n, dmax):
     """Count minimal generators of the window kernel per degree via fibers.
 
     A fiber contributes (components - 1) minimal generators in its degree,
-    components taken under the share-a-variable adjacency.
+    components taken under the share-a-variable adjacency.  Each image keeps
+    a union-find over edges, and the edges of each multiset are joined: two
+    multisets are linked by a chain of shared edges exactly when their edges
+    are joined, so a fiber's components are its edge components.
     """
     out = {}
     for d in range(2, dmax + 1):
-        total = 0
         fibers = {}
         for m, img in edge_multisets(kind, c, n, d):
-            fibers.setdefault(mono_freeze(img), []).append(mono_freeze(m))
-        for group in fibers.values():
-            if len(group) < 2:
-                continue
-            uf = _UnionFind(len(group))
-            supports = [set(e for e, _ in g) for g in group]
-            for i in range(len(group)):
-                for j in range(i + 1, len(group)):
-                    if supports[i] & supports[j]:
-                        uf.union(i, j)
-            comps = len({uf.find(i) for i in range(len(group))})
-            total += comps - 1
-        out[d] = total
+            parent = fibers.setdefault(mono_freeze(img), {})
+            root = None
+            for e in m:
+                r = _root(parent, parent.setdefault(e, e))
+                if root is None:
+                    root = r
+                elif r != root:
+                    parent[r] = root
+        out[d] = sum(sum(e == p for e, p in parent.items()) - 1 for parent in fibers.values())
     return out

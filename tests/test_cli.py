@@ -278,6 +278,18 @@ def test_toric_reduce():
     assert "not a kernel binomial" in res.output
 
 
+def test_toric_inputs_name_real_variables():
+    # x[2,1] would pass for x[1,2], and a zero index names no variable
+    for text, bad in (("x[2,1] - x[1,2]", "'x[2,1]'"),
+                      ("x[0,0]*x[1,1] - x[0,1]^2", "'x[0,0]'")):
+        res = run("toric", "reduce", "--binomial", text, "--c", "1", "--n", "4")
+        assert res.exit_code == 2
+        assert bad in res.output and "1 <= i <= j" in res.output
+    res = run("toric", "fibers", "--map", "gap", "--n", "3", "--target", "x0*x1")
+    assert res.exit_code == 2
+    assert "'x0'" in res.output and "at least 1" in res.output
+
+
 def test_toric_degree_stats():
     res = run("toric", "degree-stats", "--nmin", "6", "--nmax", "13")
     assert res.exit_code == 0
@@ -294,9 +306,13 @@ def test_toric_degree_stats_is_bounded():
         res = run("toric", "degree-stats", *args)
         assert res.exit_code == 2
         assert msg in res.output
-    # the limit itself is allowed (an empty range keeps this cheap)
-    res = run("toric", "degree-stats", "--nmin", "41", "--nmax", "40")
+    for nmin, nmax in (("41", "40"), ("5", "2")):
+        res = run("toric", "degree-stats", "--nmin", nmin, "--nmax", nmax)
+        assert res.exit_code == 2
+        assert "--nmin=%s is greater than --nmax=%s" % (nmin, nmax) in res.output
+    res = run("toric", "degree-stats", "--nmin", "5", "--nmax", "5")
     assert res.exit_code == 0
+    assert "n=5   computed=2   formula=2   ok" in res.output
 
 
 def test_export_dot():

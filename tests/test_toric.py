@@ -1,5 +1,6 @@
 """Tests for toric presentations, kernel elements and fiber graphs."""
 
+import itertools
 import random
 from collections import Counter
 
@@ -12,7 +13,6 @@ from equihilb.toric import (
     GenElement,
     g2,
     binomial_str,
-    edge_valid,
     window_edges,
     presentation_image,
     kernel_test,
@@ -71,13 +71,15 @@ def test_kernel_test():
 def test_window_edges_and_validity():
     assert window_edges("gap", None, 2) == [(1, 2), (1, 3), (2, 3), (2, 4)]
     assert window_edges("window-squares", 1, 2) == [(1, 1), (1, 2), (2, 2), (2, 3)]
-    assert edge_valid("gap", None, 3, (1, 2))
-    assert not edge_valid("gap", None, 3, (1, 4))  # too wide
-    assert not edge_valid("gap", None, 3, (3, 3))  # no diagonals in gap
-    assert edge_valid("window-squares", 1, 3, (1, 1))
-    assert not edge_valid("window-squares", 1, 3, (1, 3))
+    gap3 = window_edges("gap", None, 3)
+    assert (1, 2) in gap3 and (3, 5) in gap3
+    assert (1, 4) not in gap3  # too wide
+    assert (3, 3) not in gap3  # no diagonals in gap
+    assert (4, 5) not in gap3  # starts past the window
+    squares3 = window_edges("window-squares", 1, 3)
+    assert (1, 1) in squares3 and (1, 3) not in squares3
     with pytest.raises(ValueError):
-        edge_valid("nope", None, 3, (1, 2))
+        window_edges("nope", None, 3)
 
 
 def test_base_element():
@@ -139,6 +141,34 @@ def test_quadric_family():
     for b in quadric_family(3, 4):
         assert kernel_test(b)
     assert quadric_family(0, 4) == []
+
+
+def _square_edge(c, n, e):
+    """The window-squares edge rule, written out: 1 <= i <= n, 0 <= j - i <= c."""
+    i, j = e
+    return 1 <= i <= n and 0 <= j - i <= c
+
+
+def _quadrics_by_index_ranges(c, n):
+    """Kernel quadrics x[i,j]*x[k,l] - x[i,k]*x[j,l] from explicit index ranges."""
+    out = set()
+    for i in range(1, n + 1):
+        for j in range(i, i + c):
+            for k in range(j + 1, i + c + 1):
+                for ell in range(max(i + 1, j - c, k - c), min(j + c, k + c) + 1):
+                    e1, e2 = (i, j), (min(k, ell), max(k, ell))
+                    e3, e4 = (i, k), (min(j, ell), max(j, ell))
+                    if all(_square_edge(c, n, e) for e in (e1, e2, e3, e4)):
+                        b = Binomial(multiset((e1, e2)), multiset((e3, e4)))
+                        if not b.is_zero():
+                            out.add(b)
+    return sorted(out, key=Binomial.key)
+
+
+def test_quadric_family_matches_index_ranges():
+    for c in range(5):
+        for n in range(9):
+            assert quadric_family(c, n) == _quadrics_by_index_ranges(c, n), (c, n)
 
 
 def test_enumerate_fiber():
@@ -209,6 +239,19 @@ def test_shifts_in_window():
         (2, "x[3,4]*x[5,6] - x[3,5]*x[4,6]"),
     ]
     assert len(shifts_in_window(g2(), "gap", None, 3)) == 1
+
+
+def test_shifts_in_window_matches_brute_force_for_squares():
+    moves = [g2()] + quadric_family(3, 5)
+    for c in range(4):
+        for n in range(1, 7):
+            for b in moves:
+                want = []
+                for k in range(-10, 11):
+                    s = b.shifted(k)
+                    if all(_square_edge(c, n, e) for e in list(s.u) + list(s.v)):
+                        want.append((k, s))
+                assert shifts_in_window(b, "window-squares", c, n) == want, (c, n, b)
 
 
 def test_fiber_report_base_element():
@@ -290,6 +333,33 @@ def test_minimal_generator_degrees():
     assert minimal_generator_degrees("gap", None, 6, 4) == {2: 4, 3: 0, 4: 1}
     assert minimal_generator_degrees("gap", None, 7, 4) == {2: 5, 3: 0, 4: 2}
     assert minimal_generator_degrees("window-squares", 1, 4, 3) == {2: 3, 3: 0}
+
+
+def _pairwise_generator_count(kind, c, n, d):
+    """Minimal generators of degree d: per fiber, components - 1, with two
+    edge multisets adjacent when their supports meet (checked pair by pair)."""
+    fibers = {}
+    for m, img in edge_multisets(kind, c, n, d):
+        fibers.setdefault(mono_freeze(img), []).append(set(m))
+    total = 0
+    for group in fibers.values():
+        comp = list(range(len(group)))
+        for a, b in itertools.combinations(range(len(group)), 2):
+            if group[a] & group[b] and comp[a] != comp[b]:
+                old = comp[b]
+                comp = [comp[a] if x == old else x for x in comp]
+        total += len(set(comp)) - 1
+    return total
+
+
+def test_minimal_generator_degrees_match_pairwise_supports():
+    grid = [("gap", None, 5)] + [("window-squares", c, 3) for c in range(4)]
+    for kind, c, top in grid:
+        for n in range(9):
+            want = {d: _pairwise_generator_count(kind, c, n, d) for d in range(2, top + 1)}
+            for dmax in range(2, top + 1):
+                got = minimal_generator_degrees(kind, c, n, dmax)
+                assert got == {d: want[d] for d in range(2, dmax + 1)}, (kind, c, n, dmax)
 
 
 def test_gen_degree_stats():
