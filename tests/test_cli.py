@@ -299,8 +299,9 @@ def test_toric_degree_stats():
     assert "formula disagrees" not in res.output
 
 
-def test_toric_degree_stats_is_bounded():
+def test_toric_degree_stats_is_bounded(monkeypatch):
     for args, msg in ((("--nmax", "50"), "--nmax=50 exceeds the limit 40"),
+                      (("--nmax", "41"), "--nmax=41 exceeds the limit 40"),
                       (("--nmin", "-1"), "--nmin=-1 must not be negative"),
                       (("--nmin", "-3", "--nmax", "-1"), "must not be negative")):
         res = run("toric", "degree-stats", *args)
@@ -313,6 +314,12 @@ def test_toric_degree_stats_is_bounded():
     res = run("toric", "degree-stats", "--nmin", "5", "--nmax", "5")
     assert res.exit_code == 0
     assert "n=5   computed=2   formula=2   ok" in res.output
+    # the limit itself is allowed; a stub stands in for the 1.7 s computation
+    calls = []
+    monkeypatch.setattr(cli, "gen_degree_stats", lambda *args: calls.append(args) or [])
+    res = run("toric", "degree-stats", "--nmin", "40", "--nmax", "40")
+    assert res.exit_code == 0
+    assert calls == [(40, 40)]
 
 
 def test_export_dot():
