@@ -10,14 +10,7 @@ from .exactalg import (
     rat_equal,
     series_expand,
 )
-from .automata import (
-    Alphabet,
-    Dfa,
-    dp_count,
-    enumerate_words,
-    hom_preimage,
-    intersect,
-)
+from .automata import Alphabet, Dfa, dp_count, enumerate_words
 from .genfun import WeightFn, series_check, transfer_matrix, transfer_series
 from .langlib import (
     FiltrationLanguage,

@@ -33,13 +33,6 @@ class Alphabet:
         """The letters counted on axis, in alphabet order."""
         return tuple(n for n in self.names if self.axis[n] == axis)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Alphabet)
-            and self.names == other.names
-            and self.axis == other.axis
-        )
-
     def __repr__(self):
         return "Alphabet(%r)" % (self.names,)
 
@@ -151,58 +144,6 @@ def minimize(dfa):
     return out.renumbered()
 
 
-def intersect(a, b):
-    """Reachable product automaton; both inputs over the same alphabet.
-
-    Pairs from which no accepting pair is reachable stay until minimize.
-    """
-    if a.alphabet != b.alphabet:
-        raise ValueError("alphabet mismatch")
-    start = (a.start, b.start)
-    states = {start: 0}
-    order = [start]
-    trans = {}
-    i = 0
-    while i < len(order):
-        p1, p2 = order[i]
-        i += 1
-        for sym in a.alphabet.names:
-            q1 = a.trans.get((p1, sym))
-            q2 = b.trans.get((p2, sym))
-            if q1 is None or q2 is None:
-                continue
-            tgt = (q1, q2)
-            if tgt not in states:
-                states[tgt] = len(order)
-                order.append(tgt)
-            trans[(states[(p1, p2)], sym)] = states[tgt]
-    accepts = {
-        states[(q1, q2)]
-        for (q1, q2) in order
-        if q1 in a.accepts and q2 in b.accepts
-    }
-    return Dfa(a.alphabet, len(order), 0, accepts, trans)
-
-
-def hom_preimage(dfa, alphabet, hom):
-    """DFA for h^{-1}(L(dfa)): same states, letter c acts like the word h(c).
-
-    hom maps each symbol of the new alphabet to a list of dfa-alphabet
-    symbols (possibly empty for letters erased by h).
-    """
-    trans = {}
-    for q in range(dfa.r):
-        for c in alphabet.names:
-            q2 = q
-            for sym in hom[c]:
-                q2 = dfa.trans.get((q2, sym))
-                if q2 is None:
-                    break
-            if q2 is not None:
-                trans[(q, c)] = q2
-    return Dfa(alphabet, dfa.r, dfa.start, dfa.accepts, trans)
-
-
 def dp_count(dfa, dmax, size_bounds):
     """Accepted-word counts by profile (d, m) or (d, m, n); d is content degree.
 
@@ -249,31 +190,46 @@ def dp_count(dfa, dmax, size_bounds):
 
 
 def enumerate_words(dfa, profile):
-    """All accepted words with the exact profile (d, m[, n]), lexicographic."""
+    """All accepted words with the exact profile (d, m[, n]), lexicographic.
+
+    A depth-first walk with one iterator per letter of the current prefix,
+    each over its state's moves in alphabet order.
+    """
     if len(profile) != 1 + dfa.alphabet.sizes:
         raise ValueError("profile arity mismatch")
+    if min(profile) < 0:
+        return []
+    if not any(profile):
+        return [()] if dfa.start in dfa.accepts else []
     axis = dfa.alphabet.axis
+    moves = [
+        [(sym, axis[sym], dfa.trans[(q, sym)])
+         for sym in dfa.alphabet.names if (q, sym) in dfa.trans]
+        for q in range(dfa.r)
+    ]
     remaining = list(profile)
+    left = sum(profile)
     out = []
     word = []
-
-    def rec(q):
-        if not any(remaining):
-            if q in dfa.accepts:
-                out.append(tuple(word))
-            return
-        for sym in dfa.alphabet.names:
-            q2 = dfa.trans.get((q, sym))
-            k = axis[sym]
-            if q2 is None or remaining[k] <= 0:
+    stack = [iter(moves[dfa.start])]
+    while stack:
+        for sym, k, q in stack[-1]:
+            if not remaining[k]:
+                continue
+            if left == 1:
+                if q in dfa.accepts:
+                    out.append(tuple(word) + (sym,))
                 continue
             remaining[k] -= 1
+            left -= 1
             word.append(sym)
-            rec(q2)
-            word.pop()
-            remaining[k] += 1
-
-    rec(dfa.start)
+            stack.append(iter(moves[q]))
+            break
+        else:
+            stack.pop()
+            if word:
+                remaining[axis[word.pop()]] += 1
+                left += 1
     return out
 
 

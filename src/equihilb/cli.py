@@ -42,6 +42,9 @@ DEGREE_STATS_MAX = 40
 # toric fibers enumerates the window's edge multisets of the target degree;
 # inputs each under SAFE_CAP can still make about 10^14 of them
 FIBER_MULTISETS_CAP = 10_000
+# compare's oracle enumerates the generator multisets of degree dmax in
+# window nmax; dmax = nmax = 10 makes about 2 * 10^7 of them for gap
+COMPARE_MULTISETS_CAP = 100_000
 SINGLES = ("poly-ring", "window-squares", "gap")
 PAIRS = ("segre", "concat")
 
@@ -221,6 +224,14 @@ def compare(ctx, family, c, conv, dmax, nmax, strict, unsafe, fmt):
         fam = GeneratorFamily("gap")
     else:
         fam = GeneratorFamily(family, c if c is not None else 2)
+    gens = len(fam.generators(nmax))
+    multisets = math.comb(max(gens + dmax - 1, 0), dmax)
+    if multisets > COMPARE_MULTISETS_CAP and not unsafe:
+        raise click.UsageError(
+            "%d generators give %d generator multisets of degree %d, over the"
+            " safety cap %d; pass --unsafe to override"
+            % (gens, multisets, dmax, COMPARE_MULTISETS_CAP)
+        )
     report = compare_report(lang, fam, nmax, dmax, conv)
     lines = [
         "%s vs %r, convention %s:" % (lang.name, fam, conv),

@@ -7,14 +7,7 @@ counts words with n-1 letters of the size class).
 """
 
 from .exactalg import TS, MPoly, RatFun
-from .automata import (
-    Alphabet,
-    Dfa,
-    hom_preimage,
-    intersect,
-    language_agrees,
-    minimize,
-)
+from .automata import Alphabet, Dfa, language_agrees, minimize
 from .genfun import WeightFn, transfer_series
 
 
@@ -249,47 +242,47 @@ def lang_segre(a, b):
     """
     _check_pair(a, b)
     taus_a, taus_b = a.alphabet.on(1), b.alphabet.on(1)
-    cont_a, cont_b = a.alphabet.on(0), b.alphabet.on(0)
-    gammas = {}
-    symbols = [(n, 1) for n in taus_a] + [(n, 2) for n in taus_b]
-    for x in cont_a:
-        for y in cont_b:
-            g = "g(%s,%s)" % (x, y)
-            gammas[g] = (x, y)
-            symbols.append((g, 0))
-    alphabet = Alphabet(symbols)
-
-    hom_a = {n: (n,) for n in taus_a}
-    hom_a.update({n: () for n in taus_b})
-    hom_a.update({g: (xy[0],) for g, xy in gammas.items()})
-    hom_b = {n: () for n in taus_a}
-    hom_b.update({n: (n,) for n in taus_b})
-    hom_b.update({g: (xy[1],) for g, xy in gammas.items()})
-
-    pre_a = hom_preimage(a.dfa, alphabet, hom_a)
-    pre_b = hom_preimage(b.dfa, alphabet, hom_b)
-    # blocks tau_a* tau_b* g: state 1 has read a tau_b since the last g
-    scaffold = {(0, n): 0 for n in taus_a}
-    for q in (0, 1):
-        scaffold.update({(q, n): 1 for n in taus_b})
-        scaffold.update({(q, g): 0 for g in gammas})
-    scaffold_dfa = Dfa(alphabet, 2, 0, {0, 1}, scaffold)
-    dfa = minimize(intersect(intersect(pre_a, pre_b), scaffold_dfa))
+    gammas = {
+        "g(%s,%s)" % (x, y): (x, y) for x in a.alphabet.on(0) for y in b.alphabet.on(0)
+    }
+    alphabet = Alphabet(
+        [(n, 1) for n in taus_a] + [(n, 2) for n in taus_b] + [(g, 0) for g in gammas]
+    )
+    # a state (p, q, flag) pairs a state of each factor; flag records a
+    # tau_b read since the last fused letter, so no tau_a may follow yet
+    ta, tb = a.dfa.trans, b.dfa.trans
+    order = [(a.dfa.start, b.dfa.start, 0)]
+    index = {order[0]: 0}
+    trans = {}
+    # order grows as the search reaches new states
+    for src, (p, q, flag) in enumerate(order):
+        moves = [] if flag else [(n, ta.get((p, n)), q, 0) for n in taus_a]
+        moves += [(n, p, tb.get((q, n)), 1) for n in taus_b]
+        moves += [(g, ta.get((p, x)), tb.get((q, y)), 0) for g, (x, y) in gammas.items()]
+        for sym, p2, q2, flag2 in moves:
+            if p2 is None or q2 is None:
+                continue
+            tgt = (p2, q2, flag2)
+            if tgt not in index:
+                index[tgt] = len(order)
+                order.append(tgt)
+            trans[(src, sym)] = index[tgt]
+    accepts = {
+        i for i, (p, q, _) in enumerate(order) if p in a.dfa.accepts and q in b.dfa.accepts
+    }
+    dfa = minimize(Dfa(alphabet, len(order), 0, accepts, trans))
 
     set_a, set_b = set(taus_a), set(taus_b)
 
     def predicate(word):
-        state = 1
+        flag = False
         for sym in word:
-            if sym in set_a:
-                if state == 2:
-                    return False
-            elif sym in set_b:
-                state = 2
-            else:
-                state = 1
-        proj_a = [x for sym in word for x in hom_a[sym]]
-        proj_b = [y for sym in word for y in hom_b[sym]]
+            if sym in set_a and flag:
+                return False
+            if sym not in set_a:
+                flag = sym in set_b
+        proj_a = [gammas[sym][0] if sym in gammas else sym for sym in word if sym not in set_b]
+        proj_b = [gammas[sym][1] if sym in gammas else sym for sym in word if sym not in set_a]
         return a.predicate(proj_a) and b.predicate(proj_b)
 
     return FiltrationLanguage(

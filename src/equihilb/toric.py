@@ -260,7 +260,10 @@ def enumerate_fiber(kind, c, n, target):
                 rec(rest, e)
                 acc.pop()
 
-    rec({k: e for k, e in target.items() if e}, (0, 0))
+    rem = {k: e for k, e in target.items() if e}
+    if rem and min(rem) < 1:
+        raise ValueError("target variable x%d needs an index of at least 1" % min(rem))
+    rec(rem, (0, 0))
     return sorted(set(out))
 
 

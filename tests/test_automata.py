@@ -10,12 +10,12 @@ from equihilb.automata import (
     Alphabet,
     Dfa,
     minimize,
-    intersect,
-    hom_preimage,
     dp_count,
     enumerate_words,
     language_agrees,
 )
+from equihilb.langlib import lang_poly_ring
+from productref import hom_preimage, intersect
 
 AB = Alphabet([("tau", 1), ("a", 0), ("b", 0)])
 # (a tau)*
@@ -152,6 +152,9 @@ def test_enumerate_words_exact_profile():
     # a negative entry leaves no word, however large the other entries
     assert enumerate_words(ANY, (3, -1)) == []
     assert enumerate_words(ANY, (-1, 0)) == []
+    assert enumerate_words(ANY, (0, 0)) == [()]
+    # one word of 1,200 letters: the walk holds no Python frame per letter
+    assert enumerate_words(lang_poly_ring(1).dfa, (0, 1200)) == [("tau",) * 1200]
     with pytest.raises(ValueError):
         enumerate_words(ANY, (1, 1, 1))
 

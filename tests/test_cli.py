@@ -191,6 +191,40 @@ def test_compare_cap_and_unsafe():
     assert res.exit_code == 0
 
 
+def test_compare_multiset_cap(monkeypatch):
+    # every input at or under its cap, but the oracle's largest cell would
+    # enumerate C(G + dmax - 1, dmax) multisets of the G window generators
+    for args, msg in (
+        (("gap", "--conv", "algebra"), "20 generators give 20030010 generator multisets"),
+        (("window-squares", "--c", "3", "--conv", "string-bounded"),
+         "40 generators give 8217822536 generator multisets"),
+    ):
+        res = run("compare", *args, "--dmax", "10", "--nmax", "10")
+        assert res.exit_code == 2
+        assert msg in res.output and "safety cap 100000; pass --unsafe" in res.output
+    # the README command needs 12,376 and runs
+    res = run("compare", "window-squares", "--c", "1", "--conv", "string-bounded",
+              "--dmax", "6", "--nmax", "6", "--strict")
+    assert res.exit_code == 0
+    assert "all cells equal: True" in res.output
+    # both sides of the cap, with a stub in place of the oracle: 12 generators
+    # give 167,960 multisets of degree 9 and 75,582 of degree 8
+    calls = []
+
+    def stub(lang, fam, nmax, dmax, conv):
+        calls.append((nmax, dmax))
+        return {"family": repr(fam), "convention": conv, "all_equal": True, "cells": []}
+
+    monkeypatch.setattr(cli, "compare_report", stub)
+    res = run("compare", "poly-ring", "--c", "2", "--dmax", "9", "--nmax", "6")
+    assert res.exit_code == 2
+    assert "12 generators give 167960 generator multisets of degree 9" in res.output
+    for args in (("--dmax", "8"), ("--dmax", "9", "--unsafe")):
+        res = run("compare", "poly-ring", "--c", "2", "--nmax", "6", *args)
+        assert res.exit_code == 0
+    assert calls == [(6, 8), (6, 9)]
+
+
 def test_compare_csv():
     res = run("compare", "gap", "--conv", "algebra", "--dmax", "2",
               "--nmax", "2", "--format", "csv")

@@ -28,6 +28,7 @@ from equihilb.langlib import (
     ideal_gap_series,
 )
 from equihilb.monoracle import segre_counts, tensor_counts
+import productref
 from polytext import parse_ratfun
 
 TS = VarSet(["t", "s"])
@@ -228,6 +229,21 @@ def test_builtins_match_their_constructors():
             assert fingerprint(builtin_pair(op, ka, ca, kb, cb)) == fingerprint(pair(a, b))
 
 
+PAIR_SINGLES = [("poly-ring", c) for c in (1, 2, 3)] + [
+    ("window-squares", c) for c in (0, 1, 2, 3)] + [("gap", None)]
+
+
+def test_segre_matches_the_reference_construction():
+    # the direct product against preimages, intersection and the 2-state
+    # block automaton, on all 64 ordered pairs of built-in factors
+    for (ka, ca), (kb, cb) in itertools.product(PAIR_SINGLES, repeat=2):
+        seg = builtin_pair("segre", ka, ca, kb, cb)
+        ref = productref.segre_dfa(builtin_single(ka, ca),
+                                   builtin_single(kb, cb, tau="tau2", alpha="b"))
+        assert (seg.alphabet.names, seg.alphabet.axis) == (ref.alphabet.names, ref.alphabet.axis)
+        assert same_dfa(seg.dfa, ref), (ka, ca, kb, cb)
+
+
 def test_shipped_forms_print_as_before():
     closed = dict(lang_gap().reference_series)["closed form"]
     assert ratfun_to_text(closed) == (
@@ -271,6 +287,10 @@ FIRST = Alphabet([("tau", 1), ("a", 0), ("b", 0)])
 SECOND = Alphabet([("tau2", 1), ("c", 0), ("d", 0)])
 
 
+def same_dfa(d1, d2):
+    return (d1.r, d1.start, d1.accepts, d1.trans) == (d2.r, d2.start, d2.accepts, d2.trans)
+
+
 def nonzero(tab, dmax):
     return {k: v for k, v in tab.data.items() if v and k[0] <= dmax}
 
@@ -286,3 +306,10 @@ def test_pair_counts_random_factors(a, b):
     assert nonzero(seg, 3) == nonzero(segre_counts(ta, tb), 3)
     cat = dp_count(lang_concat(a, b).dfa, 3, (3, 3))
     assert nonzero(cat, 3) == nonzero(tensor_counts(ta, tb), 3)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(random_language(FIRST), random_language(SECOND))
+def test_segre_matches_the_reference_on_random_factors(a, b):
+    # partial factors with dead and unreachable states and rejecting starts
+    assert same_dfa(lang_segre(a, b).dfa, productref.segre_dfa(a, b))

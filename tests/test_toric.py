@@ -181,6 +181,13 @@ def test_enumerate_fiber():
     assert enumerate_fiber("gap", None, 2, {1: 1, 2: 1, 3: 1, 4: 1}) == \
         [(((1, 3), 1), ((2, 4), 1))]
     assert enumerate_fiber("gap", None, 3, {1: 1}) == []
+    # vertex 0 lies in no window: x0 would give the edges x[0,1] and x[0,0]
+    with pytest.raises(ValueError, match="x0 needs an index of at least 1"):
+        enumerate_fiber("gap", None, 3, {0: 1, 1: 1})
+    with pytest.raises(ValueError, match="x0 needs an index of at least 1"):
+        enumerate_fiber("window-squares", 1, 3, {0: 2})
+    # a zero exponent names no variable
+    assert enumerate_fiber("window-squares", 1, 3, {0: 0, 1: 2}) == [(((1, 1), 1),)]
 
 
 KINDS = st.sampled_from([("gap", None)] + [("window-squares", c) for c in range(3)])
