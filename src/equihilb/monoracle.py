@@ -20,6 +20,8 @@ def edge_spans(kind, c):
     if kind == "gap":
         return (1, 2)
     if kind == "window-squares":
+        if not isinstance(c, int) or c < 0:
+            raise ValueError("window-squares needs an int c >= 0, got c=%r" % (c,))
         return range(c + 1)
     raise ValueError("unknown map kind %r" % kind)
 
@@ -65,13 +67,13 @@ class GeneratorFamily:
     def __init__(self, kind, c=None):
         if kind == "gap":
             c = None
-        elif kind in ("window-squares", "poly-ring"):
+        elif kind == "window-squares":
+            edge_spans(kind, c)
+        elif kind == "poly-ring":
             if c is None:
-                raise ValueError("%s needs c" % kind)
-            if kind == "poly-ring" and c < 1:
+                raise ValueError("poly-ring needs c")
+            if c < 1:
                 raise ValueError("need c >= 1")
-            if kind == "window-squares" and c < 0:
-                raise ValueError("need c >= 0")
         else:
             raise ValueError("unknown family %r" % kind)
         self.kind = kind

@@ -238,33 +238,36 @@ def image_targets(kind, c, n, d):
 
 
 def enumerate_fiber(kind, c, n, target):
-    """All window edge-monomials with the given x-monomial image."""
+    """All window edge-monomials with the given x-monomial image.
+
+    A depth-first walk over a stack of (uncovered, edges so far) states; a
+    step covers the least uncovered vertex a with an edge (a, a + span) no
+    smaller than the edge before it.
+    """
     spans = edge_spans(kind, c)
-    out = []
-    acc = []
-
-    def rec(rem, floor):
-        if not rem:
-            out.append(mono_freeze(multiset(acc)))
-            return
-        a = min(rem)
-        if a > n:
-            return
-        for sp in spans:
-            e = (a, a + sp)
-            if e < floor:
-                continue
-            rest = apply_move(rem, presentation_image({e: 1}), {})
-            if rest is not None:
-                acc.append(e)
-                rec(rest, e)
-                acc.pop()
-
+    for k, e in target.items():
+        if not isinstance(e, int) or e < 0:
+            raise ValueError("target exponent of x%s must be an int >= 0, got %r" % (k, e))
     rem = {k: e for k, e in target.items() if e}
     if rem and min(rem) < 1:
         raise ValueError("target variable x%d needs an index of at least 1" % min(rem))
-    rec(rem, (0, 0))
-    return sorted(set(out))
+    out = set()
+    stack = [(rem, (0, 0), {})]
+    while stack:
+        rem, floor, acc = stack.pop()
+        if not rem:
+            out.add(mono_freeze(acc))
+            continue
+        a = min(rem)
+        if a > n:
+            continue
+        for sp in spans:
+            e = (a, a + sp)
+            if e >= floor:
+                rest = apply_move(rem, presentation_image({e: 1}), {})
+                if rest is not None:
+                    stack.append((rest, e, {**acc, e: acc.get(e, 0) + 1}))
+    return sorted(out)
 
 
 def shifts_in_window(b, kind, c, n):
@@ -395,22 +398,45 @@ def minimal_generator_degrees(kind, c, n, dmax):
     """Count minimal generators of the window kernel per degree via fibers.
 
     A fiber contributes (components - 1) minimal generators in its degree,
-    components taken under the share-a-variable adjacency.  Each image keeps
-    a union-find over edges, and the edges of each multiset are joined: two
-    multisets are linked by a chain of shared edges exactly when their edges
-    are joined, so a fiber's components are its edge components.
+    components taken under the share-a-variable adjacency.  Two multisets
+    are linked by a chain of shared edges exactly when their edges are
+    joined, so a fiber's components are its edge components.
+
+    An image's least vertex is the start of its multisets' first edge, and
+    the multisets come in lex order, so the fibers of one start vertex are
+    dropped when its block ends.  A fiber is keyed by its packed image and
+    held as its first multiset's edges; its edge union-find is built on a
+    second multiset, adding one per new edge and taking one per union.
     """
+    top = n + max(edge_spans(kind, c), default=0)
     out = {}
     for d in range(2, dmax + 1):
-        fibers = {}
+        # exponents of a degree-d image are at most 2d, so base 2d + 1 packs it
+        powers = [(2 * d + 1) ** v for v in range(top + 1)]
+        surplus = 0
+        start = None
         for m, img in edge_multisets(kind, c, n, d):
-            parent = fibers.setdefault(mono_freeze(img), {})
+            i = next(iter(m))[0]
+            if i != start:
+                start, fibers = i, {}
+            key = sum([e * powers[v] for v, e in img.items()])
+            parent = fibers.get(key)
+            if parent is None:
+                fibers[key] = tuple(m)
+                continue
+            if type(parent) is tuple:
+                parent = fibers[key] = dict.fromkeys(parent, parent[0])
             root = None
             for e in m:
-                r = _root(parent, parent.setdefault(e, e))
+                if e in parent:
+                    r = _root(parent, e)
+                else:
+                    parent[e] = r = e
+                    surplus += 1
                 if root is None:
                     root = r
                 elif r != root:
                     parent[r] = root
-        out[d] = sum(sum(e == p for e, p in parent.items()) - 1 for parent in fibers.values())
+                    surplus -= 1
+        out[d] = surplus
     return out

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -190,6 +191,25 @@ def test_enumerate_fiber():
     assert enumerate_fiber("window-squares", 1, 3, {0: 0, 1: 2}) == [(((1, 1), 1),)]
 
 
+def test_enumerate_fiber_deep_targets_and_bad_exponents():
+    # one edge per step of the walk, with no recursion to run out of
+    assert enumerate_fiber("gap", None, 1, {1: 1100, 2: 1100}) == [(((1, 2), 1100),)]
+    with pytest.raises(ValueError, match="exponent of x1 must be an int >= 0, got -1"):
+        enumerate_fiber("gap", None, 3, {1: -1, 2: 1})
+    with pytest.raises(ValueError, match="exponent of x1 must be an int >= 0, got 1.0"):
+        enumerate_fiber("gap", None, 3, {1: 1.0, 2: 1})
+
+
+@pytest.mark.parametrize("c", [None, -1, 1.5, "2"])
+def test_window_squares_rejects_a_bad_c(c):
+    with pytest.raises(ValueError, match="c=%r" % (c,)):
+        minimal_generator_degrees("window-squares", c, 3, 3)
+    with pytest.raises(ValueError, match="c=%r" % (c,)):
+        enumerate_fiber("window-squares", c, 3, {1: 1, 2: 1})
+    with pytest.raises(ValueError, match="c=%r" % (c,)):
+        quadric_family(c, 3)
+
+
 KINDS = st.sampled_from([("gap", None)] + [("window-squares", c) for c in range(3)])
 
 
@@ -206,6 +226,27 @@ def test_edge_multisets_grouped_by_image_are_the_fibers(kind_c, n, d):
     for t in targets:
         assert list(t) == sorted(t)
         assert enumerate_fiber(kind, c, n, t) == sorted(groups[mono_freeze(t)])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from([("gap", None)] + [("window-squares", c) for c in range(6)]),
+       st.integers(0, 6), st.integers(2, 4))
+def test_packed_keys_and_start_vertices_follow_the_images(kind_c, n, d):
+    kind, c = kind_c
+    by_key, by_image, starts = {}, {}, []
+    for m, img in edge_multisets(kind, c, n, d):
+        frozen = mono_freeze(m)
+        by_key.setdefault(sum(e * (2 * d + 1) ** v for v, e in img.items()), []).append(frozen)
+        by_image.setdefault(mono_freeze(img), []).append(frozen)
+        first = next(iter(m))
+        # the first edge of the stream's multiset is its least edge, and its
+        # start is the image's least vertex
+        assert first == min(m) and first[0] == min(img)
+        starts.append(first[0])
+    # the packed key splits the multisets exactly as the image does
+    assert list(by_key.values()) == list(by_image.values())
+    # start vertices never go back, so each image lies in one contiguous block
+    assert starts == sorted(starts)
 
 
 @st.composite
@@ -360,13 +401,29 @@ def _pairwise_generator_count(kind, c, n, d):
 
 
 def test_minimal_generator_degrees_match_pairwise_supports():
-    grid = [("gap", None, 5)] + [("window-squares", c, 3) for c in range(4)]
+    # window-squares(5) at degree 2 has edges wider than 2 * dmax
+    grid = [("gap", None, 5)] + [("window-squares", c, 3) for c in range(4)] + \
+        [("window-squares", 5, 2)]
     for kind, c, top in grid:
         for n in range(9):
             want = {d: _pairwise_generator_count(kind, c, n, d) for d in range(2, top + 1)}
             for dmax in range(2, top + 1):
                 got = minimal_generator_degrees(kind, c, n, dmax)
                 assert got == {d: want[d] for d in range(2, dmax + 1)}, (kind, c, n, dmax)
+
+
+def test_minimal_generator_degrees_memory():
+    tracemalloc.start()
+    try:
+        got = minimal_generator_degrees("gap", None, 8, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == {2: 6, 3: 0, 4: 3, 5: 1}
+    # only the fibers of one start vertex are alive at a time: about 1.0 MB,
+    # against 2.2 MB when every fiber of a degree is kept as a tuple of
+    # edges and 7.2 MB when each keeps a union-find dict
+    assert peak < 1_500_000, peak
 
 
 def test_gen_degree_stats():
