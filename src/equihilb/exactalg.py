@@ -49,13 +49,7 @@ class MPoly:
 
     def __init__(self, vars, terms=None):
         self.vars = vars
-        self.terms = {}
-        if terms:
-            for e, c in terms.items():
-                if c:
-                    self.terms[e] = self.terms.get(e, 0) + c
-                    if not self.terms[e]:
-                        del self.terms[e]
+        self.terms = {e: c for e, c in terms.items() if c} if terms else {}
 
     @classmethod
     def zero(cls, vars):

@@ -9,6 +9,7 @@ counts words with n-1 letters of the size class).
 from .exactalg import TS, MPoly, RatFun
 from .automata import Alphabet, Dfa, language_agrees, minimize
 from .genfun import WeightFn, transfer_series
+from .monoracle import edge_spans, poly_ring_rows
 
 
 class FiltrationLanguage:
@@ -69,9 +70,8 @@ def lang_poly_ring(c, tau="tau", alpha="a"):
 
     Counts monomials of free polynomial rings on a c x n variable grid.
     """
-    if c < 1:
-        raise ValueError("need c >= 1")
-    alphas = ["%s%d" % (alpha, i) for i in range(1, c + 1)]
+    # letter ai stands for grid row i; poly_ring_rows also checks c
+    alphas = ["%s%d" % (alpha, i) for i in poly_ring_rows(c)]
     alphabet = _single_alphabet(tau, alphas)
     idx = {a: i + 1 for i, a in enumerate(alphas)}
     # state 0: fresh after tau; state i: just read a_i
@@ -115,9 +115,8 @@ def lang_window_squares(c, tau="tau", alpha="a"):
 
     Counts monomials of the algebras generated by x_i*x_{i+j}, 0 <= j <= c.
     """
-    if c < 0:
-        raise ValueError("need c >= 0")
-    alphas = ["%s%d" % (alpha, i) for i in range(c + 1)]
+    # letter ai stands for the edge span i; edge_spans also checks c
+    alphas = ["%s%d" % (alpha, i) for i in edge_spans("window-squares", c)]
     alphabet = _single_alphabet(tau, alphas)
     states = [(i, j) for i in range(c + 1) for j in range(i + 1)]
     states.sort()

@@ -26,6 +26,13 @@ def edge_spans(kind, c):
     raise ValueError("unknown map kind %r" % kind)
 
 
+def poly_ring_rows(c):
+    """Rows 1..c of the poly-ring variable grid x[i,j]; c must be an int >= 1."""
+    if not isinstance(c, int) or c < 1:
+        raise ValueError("need c >= 1")
+    return range(1, c + 1)
+
+
 def window_edges(kind, c, n):
     """The edges (i, j) of window n, i <= n, in (i, j) order."""
     spans = edge_spans(kind, c)
@@ -70,10 +77,7 @@ class GeneratorFamily:
         elif kind == "window-squares":
             edge_spans(kind, c)
         elif kind == "poly-ring":
-            if c is None:
-                raise ValueError("poly-ring needs c")
-            if c < 1:
-                raise ValueError("need c >= 1")
+            poly_ring_rows(c)
         else:
             raise ValueError("unknown family %r" % kind)
         self.kind = kind
@@ -207,16 +211,15 @@ def word_monomial_maps(lang, family, n, d, conv=STRING_BOUNDED):
 def compare_report(lang, family, nmax, dmax, conv):
     """Language counts vs oracle counts on windows 1..nmax, degrees 0..dmax."""
     table = dp_count(lang.dfa, dmax, (nmax - 1,))
+    oracle = hilbert_counts(family, nmax, dmax, conv)
     rows = []
-    ok = True
     for d in range(dmax + 1):
         for n in range(1, nmax + 1):
             lhs = table[(d, n - 1)]
-            rhs = len(family.enumerate_monomials(n, d, conv))
-            eq = lhs == rhs
-            ok = ok and eq
-            rows.append({"d": d, "n": n, "language": lhs, "oracle": rhs, "equal": eq})
-    return {"family": repr(family), "convention": conv, "all_equal": ok, "cells": rows}
+            rhs = oracle[(d, n)]
+            rows.append({"d": d, "n": n, "language": lhs, "oracle": rhs, "equal": lhs == rhs})
+    all_equal = all(row["equal"] for row in rows)
+    return {"family": repr(family), "convention": conv, "all_equal": all_equal, "cells": rows}
 
 
 def segre_counts(table_a, table_b):

@@ -1,4 +1,4 @@
-"""Test-side reference for the Segre automaton: the textbook construction.
+"""Test-side references for the Segre automaton and for minimization.
 
 `langlib.lang_segre` builds its automaton as one reachable product of the
 two factors.  This module keeps the three-stage build it replaced, from
@@ -6,6 +6,11 @@ closure under inverse homomorphism and intersection (Hopcroft & Ullman,
 1979, section 3.2): the homomorphic preimage of each factor, their
 intersection, and the intersection with a 2-state automaton for the block
 shape tau1* tau2* g.
+
+`automata.minimize` numbers the blocks of its Moore refinement by one
+breadth-first search.  `two_pass_minimize` keeps the two passes it
+replaced: an automaton on the blocks in arbitrary order, then a canonical
+renumbered copy of it.
 """
 
 from equihilb.automata import Alphabet, Dfa, minimize
@@ -89,3 +94,71 @@ def segre_dfa(a, b):
         blocks.update({(q, g): 0 for g in fused})
     block_dfa = Dfa(alphabet, 2, 0, {0, 1}, blocks)
     return minimize(intersect(intersect(pre_a, pre_b), block_dfa))
+
+
+def renumbered(dfa):
+    """Canonical copy: states renumbered by BFS from start, alphabet order."""
+    order = [dfa.start]
+    seen = {dfa.start}
+    i = 0
+    while i < len(order):
+        q = order[i]
+        i += 1
+        for sym in dfa.alphabet.names:
+            q2 = dfa.trans.get((q, sym))
+            if q2 is not None and q2 not in seen:
+                seen.add(q2)
+                order.append(q2)
+    remap = {q: j for j, q in enumerate(order)}
+    trans = {
+        (remap[p], sym): remap[q]
+        for (p, sym), q in dfa.trans.items()
+        if p in remap and q in remap
+    }
+    accepts = {remap[q] for q in dfa.accepts if q in remap}
+    return Dfa(dfa.alphabet, len(order), 0, accepts, trans)
+
+
+def two_pass_minimize(dfa):
+    """Moore partition refinement with an implicit reject sink, then an
+    automaton on the live blocks, then its renumbered copy."""
+    SINK = dfa.r
+    block = {}
+    for q in range(dfa.r):
+        block[q] = 1 if q in dfa.accepts else 0
+    block[SINK] = 0
+    while True:
+        sigs = {}
+        for q in list(block):
+            sig = (block[q],)
+            for sym in dfa.alphabet.names:
+                if q == SINK:
+                    t = SINK
+                else:
+                    t = dfa.trans.get((q, sym), SINK)
+                sig += (block[t],)
+            sigs[q] = sig
+        relabel = {}
+        newblock = {}
+        for q in sorted(block):
+            if sigs[q] not in relabel:
+                relabel[sigs[q]] = len(relabel)
+            newblock[q] = relabel[sigs[q]]
+        if newblock == block:
+            break
+        block = newblock
+    sink_block = block[SINK]
+    reps = {}
+    for q in range(dfa.r):
+        if block[q] != sink_block and block[q] not in reps:
+            reps[block[q]] = q
+    if block[dfa.start] == sink_block:
+        return Dfa(dfa.alphabet, 1, 0, set(), {})
+    trans = {}
+    for b, q in reps.items():
+        for sym in dfa.alphabet.names:
+            t = dfa.trans.get((q, sym), SINK)
+            if t != SINK and block[t] != sink_block:
+                trans[(b, sym)] = block[t]
+    accepts = {b for b, q in reps.items() if q in dfa.accepts}
+    return renumbered(Dfa(dfa.alphabet, len(reps), block[dfa.start], accepts, trans))

@@ -15,7 +15,7 @@ from equihilb.automata import (
     language_agrees,
 )
 from equihilb.langlib import lang_poly_ring
-from productref import hom_preimage, intersect
+from productref import hom_preimage, intersect, two_pass_minimize
 
 AB = Alphabet([("tau", 1), ("a", 0), ("b", 0)])
 # (a tau)*
@@ -80,10 +80,10 @@ def test_renumbered_canonical():
     # same machine written with two different state numberings
     d1 = Dfa(AB, 3, 0, frozenset({2}), {(0, "a"): 1, (1, "b"): 2, (2, "tau"): 2})
     d2 = Dfa(AB, 3, 2, frozenset({0}), {(2, "a"): 1, (1, "b"): 0, (0, "tau"): 0})
-    r1, r2 = d1.renumbered(), d2.renumbered()
+    r1, r2 = minimize(d1), minimize(d2)
     assert r1.start == r2.start == 0
-    assert r1.trans == r2.trans
-    assert r1.accepts == r2.accepts
+    assert r1.trans == r2.trans == {(0, "a"): 1, (1, "b"): 2, (2, "tau"): 2}
+    assert r1.accepts == r2.accepts == frozenset({2})
 
 
 def test_intersect_is_conjunction():
@@ -195,8 +195,8 @@ def test_to_dot_deterministic():
 
 
 @st.composite
-def partial_dfas(draw, alphabet=AB, any_start=False):
-    r = draw(st.integers(1, 4))
+def partial_dfas(draw, alphabet=AB, any_start=False, max_states=4):
+    r = draw(st.integers(1, max_states))
     targets = st.none() | st.integers(0, r - 1)
     trans = {}
     for q in range(r):
@@ -226,6 +226,14 @@ def test_minimize_keeps_the_language_and_is_canonical(dfa, rng):
     renamed = Dfa(AB, dfa.r, perm[dfa.start], {perm[q] for q in dfa.accepts},
                   {(perm[p], sym): perm[q] for (p, sym), q in dfa.trans.items()})
     assert same_dfa(minimize(renamed), m)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(partial_dfas(any_start=True, max_states=6))
+def test_minimize_matches_the_two_pass_reference(dfa):
+    m = minimize(dfa)
+    assert same_dfa(m, two_pass_minimize(dfa))
+    assert same_dfa(minimize(m), m)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

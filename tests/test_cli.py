@@ -1,6 +1,8 @@
 """Tests for the command-line interface."""
 
 import json
+import shlex
+from pathlib import Path
 
 from click.testing import CliRunner
 
@@ -281,6 +283,16 @@ def test_toric_fibers_degree_sweep():
         assert msg in res.output
 
 
+def test_toric_fibers_target_moves_reach_its_degree():
+    # the image of g(1,2,2,2), of edge degree 11: its fiber is connected
+    # only by a move of degree 11, past the safety cap 10
+    target = "x1*x2*x3^2*x5^2*x7^2*x8^2*x10^2*x11^2*x13^2*x14^2*x16^2*x17*x18"
+    res = run("toric", "fibers", "--map", "gap", "--n", "17", "--unsafe", "--target", target)
+    assert res.exit_code == 0
+    assert "fiber 2, components 1" in res.output
+    assert "0 disconnected fiber(s)" in res.output
+
+
 def test_toric_fibers_target_degree_is_capped():
     # x-degree 48 is edge degree 24, far past the safety cap
     target = "*".join("x%d^4" % v for v in range(1, 13))
@@ -380,3 +392,22 @@ def test_export_caps_sizes():
         assert "exceeds the safety cap 10" in res.output
         assert "--unsafe" not in res.output
     assert run("export", "poly-ring", "--c", "10").exit_code == 0
+
+
+def readme_commands():
+    """The argument lists of the README's command-line block, without any
+    output redirect."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    for line in block.splitlines():
+        words = shlex.split(line, comments=True)
+        if words[:1] == ["equihilb"]:
+            yield words[1:words.index(">")] if ">" in words else words[1:]
+
+
+def test_readme_commands_run():
+    commands = list(readme_commands())
+    assert len(commands) == 12
+    for args in commands:
+        res = run(*args)
+        assert res.exit_code == 0, (args, res.output)

@@ -182,6 +182,17 @@ def test_segre_and_tensor_counts():
     assert ten.get((4, 1, 1)) == 21
 
 
+def test_single_builders_reject_a_bad_c():
+    # a c that is not an int in range is a ValueError, not a TypeError
+    # from deep inside the builder
+    calls = [(lang_window_squares, None), (lang_window_squares, 1.5),
+             (lang_poly_ring, None), (lang_poly_ring, 1.5)]
+    calls += [(lambda c: GeneratorFamily("poly-ring", c), c) for c in (1.5, "2")]
+    for build, c in calls:
+        with pytest.raises(ValueError, match="c >= "):
+            build(c)
+
+
 def test_mono_freeze_str():
     m = {2: 1, 1: 3}
     assert dict(mono_freeze(m)) == m
