@@ -220,32 +220,32 @@ def language_agrees(dfa, predicate, maxlen):
     Prunes subtrees where the DFA has no transition and the predicate is
     false; sound for prefix-closed predicates, which is also checked along
     the way.  Returns (ok, first_counterexample_or_None, words_checked).
+    A depth-first walk with one iterator per letter of the current word,
+    each over the alphabet.
     """
+    root_pred = bool(predicate([]))
+    if (dfa.start in dfa.accepts) != root_pred:
+        return False, (), 1
     checked = 0
-
-    def rec(word, q, pred_here):
-        nonlocal checked
-        if len(word) >= maxlen:
-            return None
-        for sym in dfa.alphabet.names:
+    word = []
+    # (state or None, predicate holds, letters left) per prefix of word
+    stack = [(dfa.start, root_pred, iter(dfa.alphabet.names))] if maxlen > 0 else []
+    while stack:
+        q, pred_here, syms = stack[-1]
+        for sym in syms:
             w2 = word + [sym]
-            q2 = dfa.trans.get((q, sym)) if q is not None else None
-            in_dfa = q2 is not None and q2 in dfa.accepts
+            q2 = dfa.trans.get((q, sym))
             in_pred = bool(predicate(w2))
             checked += 1
-            if in_dfa != in_pred:
-                return tuple(w2)
-            if in_pred and not pred_here:
-                return tuple(w2)  # predicate not prefix closed: treat as failure
-            if q2 is not None or in_pred:
-                bad = rec(w2, q2, in_pred)
-                if bad:
-                    return bad
-        return None
-
-    root_dfa = dfa.start in dfa.accepts
-    root_pred = bool(predicate([]))
-    if root_dfa != root_pred:
-        return False, (), 1
-    bad = rec([], dfa.start, root_pred)
-    return bad is None, bad, checked
+            # the second test fails a predicate that is not prefix closed
+            if (q2 in dfa.accepts) != in_pred or (in_pred and not pred_here):
+                return False, tuple(w2), checked
+            if (q2 is not None or in_pred) and len(w2) < maxlen:
+                word.append(sym)
+                stack.append((q2, in_pred, iter(dfa.alphabet.names)))
+                break
+        else:
+            stack.pop()
+            if word:
+                word.pop()
+    return True, None, checked

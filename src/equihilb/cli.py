@@ -82,11 +82,14 @@ def _cap_multisets(ctx, items, noun, degree, cap):
         )
 
 
-def _emit(fmt, payload, text_lines):
+def _emit(fmt, command, params, results, lines, **extra):
+    """Print the text lines, or for json one object: the command, its params,
+    its results and any extra keys."""
     if fmt == "json":
-        click.echo(json.dumps(payload, indent=2, sort_keys=True))
+        envelope = {"command": command, "params": params, "results": results, **extra}
+        click.echo(json.dumps(envelope, indent=2, sort_keys=True))
     else:
-        for line in text_lines:
+        for line in lines:
             click.echo(line)
 
 
@@ -134,15 +137,6 @@ def series(ctx, selector, c, a, a_c, b, b_c, expand, checked, unsafe, fmt):
             raise click.UsageError("csv output needs --expand, which ideal-gap does not take")
         computed, stated = ideal_gap_series()
         eq = rat_equal(computed, stated)
-        payload = {
-            "command": "series",
-            "params": {"selector": selector},
-            "results": {
-                "computed": ratfun_to_text(computed),
-                "stated": ratfun_to_text(stated),
-                "equal": eq,
-            },
-        }
         lines = [
             "ideal-gap (ambient minus algebra):",
             "  computed: %s" % ratfun_to_text(computed),
@@ -151,7 +145,10 @@ def series(ctx, selector, c, a, a_c, b, b_c, expand, checked, unsafe, fmt):
         ]
         if not eq:
             lines.append("  MISMATCH between computed identity and stated form")
-        _emit(fmt, payload, lines)
+        results = {
+            "computed": ratfun_to_text(computed), "stated": ratfun_to_text(stated), "equal": eq
+        }
+        _emit(fmt, "series", {"selector": selector}, results, lines)
         return
     _cap_sizes(ctx, c, a_c, b_c)
     lang = _build_language(selector, c, a, a_c, b, b_c, checked)
@@ -168,11 +165,6 @@ def series(ctx, selector, c, a, a_c, b, b_c, expand, checked, unsafe, fmt):
         lines.append("  %s (transfer): %s  [%s]" % (label, ratfun_to_text(ref), "agrees" if eq else "DIFFERS"))
     if lang.notes:
         lines.append("  note: %s" % lang.notes)
-    payload = {
-        "command": "series",
-        "params": {"selector": selector, "c": c},
-        "results": results,
-    }
     if expand:
         try:
             bounds = tuple(int(x) for x in expand.split(","))
@@ -186,7 +178,7 @@ def series(ctx, selector, c, a, a_c, b, b_c, expand, checked, unsafe, fmt):
             _cap(ctx, bound, "--expand")
         axes = ("d", "n") if len(bounds) == 2 else ("d", "m", "n")
         table = series_expand(ser, bounds, axes=axes)
-        payload["results"]["table"] = {
+        results["table"] = {
             ",".join(map(str, k)): v for k, v in sorted(table.data.items())
         }
         if fmt == "csv":
@@ -197,7 +189,7 @@ def series(ctx, selector, c, a, a_c, b, b_c, expand, checked, unsafe, fmt):
             lines.append("    %s: %d" % (",".join(map(str, k)), table[k]))
     elif fmt == "csv":
         raise click.UsageError("csv output needs --expand")
-    _emit(fmt, payload, lines)
+    _emit(fmt, "series", {"selector": selector, "c": c}, results, lines)
 
 
 def _witness(lang, fam, report, conv):
@@ -246,15 +238,6 @@ def compare(ctx, family, c, conv, dmax, nmax, strict, unsafe, fmt):
             % (cell["d"], cell["n"], cell["language"], cell["oracle"], mark)
         )
     lines.append("all cells equal: %s" % report["all_equal"])
-    witness = _witness(lang, fam, report, conv)
-    if witness is not None:
-        lines.append(witness)
-    payload = {
-        "command": "compare",
-        "params": {"family": family, "c": c, "conv": conv, "dmax": dmax, "nmax": nmax},
-        "results": report,
-        "witness": witness,
-    }
     if fmt == "csv":
         rows = ["d,n,language,oracle,equal"]
         for cell in report["cells"]:
@@ -264,7 +247,11 @@ def compare(ctx, family, c, conv, dmax, nmax, strict, unsafe, fmt):
             )
         click.echo("\n".join(rows))
     else:
-        _emit(fmt, payload, lines)
+        witness = _witness(lang, fam, report, conv)
+        if witness is not None:
+            lines.append(witness)
+        params = {"family": family, "c": c, "conv": conv, "dmax": dmax, "nmax": nmax}
+        _emit(fmt, "compare", params, report, lines, witness=witness)
     if strict and not report["all_equal"]:
         ctx.exit(1)
 
@@ -302,12 +289,8 @@ def gens(ctx, dmax, unsafe, fmt):
              for r in rows]
     lines.append("census by degree: %s" % {d: census[d] for d in sorted(census)})
     lines.append("all kernel+structure checks: %s" % ok_all)
-    payload = {
-        "command": "toric gens",
-        "params": {"dmax": dmax},
-        "results": {"elements": rows, "census": {str(d): census[d] for d in sorted(census)}},
-    }
-    _emit(fmt, payload, lines)
+    results = {"elements": rows, "census": {str(d): census[d] for d in sorted(census)}}
+    _emit(fmt, "toric gens", {"dmax": dmax}, results, lines)
 
 
 MONO_RE = re.compile(r"x\[(\d+),(\d+)\](?:\^(\d+))?|x(\d+)(?:\^(\d+))?")
@@ -412,20 +395,9 @@ def fibers(ctx, kind, c, n, degree, target, moves, exclude, unsafe, fmt):
     lines.append(
         "%d target(s), %d disconnected fiber(s)" % (len(targets), disconnected)
     )
-    payload = {
-        "command": "toric fibers",
-        "params": {
-            "map": kind,
-            "c": c,
-            "n": n,
-            "degree": degree,
-            "target": target,
-            "moves": moves,
-            "exclude": list(exclude),
-        },
-        "results": reports if target is None else reports[0],
-    }
-    _emit(fmt, payload, lines)
+    params = {"map": kind, "c": c, "n": n, "degree": degree, "target": target,
+              "moves": moves, "exclude": list(exclude)}
+    _emit(fmt, "toric fibers", params, reports if target is None else reports[0], lines)
 
 
 @toric.command()
@@ -450,12 +422,9 @@ def reduce(ctx, binomial_text, moves, c, n, unsafe, fmt):
         "remainder: %s" % binomial_str(out),
         "reduced to zero: %s" % out.is_zero(),
     ]
-    payload = {
-        "command": "toric reduce",
-        "params": {"binomial": binomial_text, "moves": moves, "c": c, "n": n},
-        "results": {"remainder": binomial_str(out), "zero": out.is_zero()},
-    }
-    _emit(fmt, payload, lines)
+    params = {"binomial": binomial_text, "moves": moves, "c": c, "n": n}
+    results = {"remainder": binomial_str(out), "zero": out.is_zero()}
+    _emit(fmt, "toric reduce", params, results, lines)
 
 
 @toric.command("degree-stats")
@@ -484,12 +453,7 @@ def degree_stats(nmin, nmax, fmt):
     bad = [r["n"] for r in rows if not r["equal"]]
     if bad:
         lines.append("formula disagrees at n in %s" % bad)
-    payload = {
-        "command": "toric degree-stats",
-        "params": {"nmin": nmin, "nmax": nmax},
-        "results": rows,
-    }
-    _emit(fmt, payload, lines)
+    _emit(fmt, "toric degree-stats", {"nmin": nmin, "nmax": nmax}, rows, lines)
 
 
 @main.command()

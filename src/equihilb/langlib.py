@@ -18,7 +18,6 @@ class FiltrationLanguage:
     def __init__(
         self,
         name,
-        alphabet,
         dfa,
         predicate,
         alt_dfa=None,
@@ -26,13 +25,13 @@ class FiltrationLanguage:
         notes="",
     ):
         self.name = name
-        self.alphabet = alphabet
+        self.alphabet = dfa.alphabet
         self.dfa = dfa
         self.predicate = predicate
         self.alt_dfa = alt_dfa
         self.reference_series = list(reference_series)
         self.notes = notes
-        self.weights = WeightFn(alphabet)
+        self.weights = WeightFn(self.alphabet)
         self.vars = self.weights.vars
         self._transfer = None
 
@@ -103,7 +102,6 @@ def lang_poly_ring(c, tau="tau", alpha="a"):
     closed = RatFun(MPoly.const(TS, 1), (1 - t) ** c - s)
     return FiltrationLanguage(
         "poly-ring(%d)" % c,
-        alphabet,
         dfa,
         predicate,
         reference_series=[("closed form", closed)],
@@ -160,7 +158,6 @@ def lang_window_squares(c, tau="tau", alpha="a"):
     alt_closed = RatFun(c * t + 1, 1 - s - t * geom)
     return FiltrationLanguage(
         "window-squares(%d)" % c,
-        alphabet,
         dfa,
         predicate,
         alt_dfa=alt_dfa,
@@ -214,7 +211,6 @@ def lang_gap(tau="tau", alpha="a"):
     closed = RatFun(t * s + 1, 1 - 2 * t - s + t**2 + t * s - t**2 * s - t * s**2)
     return FiltrationLanguage(
         "gap",
-        alphabet,
         dfa,
         predicate,
         reference_series=[("closed form", closed)],
@@ -286,7 +282,6 @@ def lang_segre(a, b):
 
     return FiltrationLanguage(
         "segre(%s, %s)" % (a.name, b.name),
-        alphabet,
         dfa,
         predicate,
     )
@@ -324,7 +319,6 @@ def lang_concat(a, b):
 
     return FiltrationLanguage(
         "concat(%s, %s)" % (a.name, b.name),
-        alphabet,
         dfa,
         predicate,
     )

@@ -100,28 +100,29 @@ class GeneratorFamily:
         Pairs (a, a + span) with a <= n.  For window-squares the flat string
         is sorted: the next a is at least the previous b.  For gap the pairs
         are sorted, and after (a, a + 2) neither (a, a + 1) nor (a + 1, a + 3)
-        may follow.
+        may follow.  A depth-first walk over a stack of (string so far, its
+        last pair); followers go on in reverse, so strings come out sorted.
         """
         if self.kind == "poly-ring":
             raise ValueError("poly-ring has no pair strings")
-        spans = edge_spans(self.kind, self.c)
+        if d < 1:
+            return [()] if d == 0 else []
         gap = self.kind == "gap"
+        pairs = [(a, a + j) for a in range(1, n + 1) for j in edge_spans(self.kind, self.c)]
+        # the pairs that may follow each pair; the key (1, 1) also starts a string
+        follow = {
+            (pa, pb): [p for p in pairs if p[0] >= (pa if gap else pb)
+                       and not (gap and pb - pa == 2 and p in ((pa, pa + 1), (pa + 1, pa + 3)))]
+            for pa, pb in [(1, 1)] + pairs
+        }
         out = []
-        cur = []
-
-        def rec(pa, pb):
-            if len(cur) == d:
-                out.append(tuple(cur))
-                return
-            for a in range(pa if gap else pb, n + 1):
-                for j in spans:
-                    if gap and pb - pa == 2 and (a, j) in ((pa, 1), (pa + 1, 2)):
-                        continue
-                    cur.append((a, a + j))
-                    rec(a, a + j)
-                    cur.pop()
-
-        rec(1, 1)
+        stack = [((), (1, 1))]
+        while stack:
+            head, last = stack.pop()
+            if len(head) + 1 == d:
+                out.extend([head + (p,) for p in follow[last]])
+            else:
+                stack.extend([(head + (p,), p) for p in reversed(follow[last])])
         return out
 
     def enumerate_monomials(self, n, d, conv):
@@ -199,9 +200,6 @@ def word_monomial_maps(lang, family, n, d, conv=STRING_BOUNDED):
         "distinct_images": len(image_set),
         "monomial_count": len(target),
         "collision": collision,
-        "injective": len(image_set) == len(words),
-        "surjective": image_set >= target,
-        "inside": image_set <= target,
         "bijective": len(image_set) == len(words) and image_set == target,
         "missing": sorted(target - image_set),
         "extra": sorted(image_set - target),

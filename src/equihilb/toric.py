@@ -270,17 +270,9 @@ def enumerate_fiber(kind, c, n, target):
     return sorted(out)
 
 
-def shifts_in_window(b, kind, c, n):
-    """All shifts of b whose edges are window edges, labelled by offset."""
-    edges = set(window_edges(kind, c, n))
-    lo = 1 - b.min_vertex()
-    hi = n - max(i for (i, j) in list(b.u) + list(b.v))
-    out = []
-    for k in range(lo, hi + 1):
-        s = b.shifted(k)
-        if edges.issuperset(s.u) and edges.issuperset(s.v):
-            out.append((k, s))
-    return out
+def shifts_within(b, lo, hi):
+    """The (offset, shifted binomial) pairs of b whose vertices lie in lo..hi."""
+    return [(k, b.shifted(k)) for k in range(lo - b.min_vertex(), hi - b.max_vertex() + 1)]
 
 
 def _root(parent, x):
@@ -294,16 +286,17 @@ def _root(parent, x):
 def fiber_report(kind, c, n, target, moves, use_shifts=True):
     """Connectivity of the fiber graph over the given target under the moves.
 
-    moves: list of (label, Binomial).  With use_shifts every window-valid
-    shift of each move is applied; labels get the offset appended.
+    moves: list of (label, Binomial).  With use_shifts every shift of each
+    move within the target's vertex span is applied, its label getting the
+    offset appended; a shift acts only where one side divides a fiber
+    element, and both sides of a kernel move share their vertices.
     """
     fiber = enumerate_fiber(kind, c, n, target)
     index = {f: i for i, f in enumerate(fiber)}
-    mat = []
     if use_shifts:
-        for label, b in moves:
-            for k, s in shifts_in_window(b, kind, c, n):
-                mat.append(("%s%+d" % (label, k), s))
+        lo, hi = min(target, default=1), max(target, default=0)
+        mat = [("%s%+d" % (label, k), s)
+               for label, b in moves for k, s in shifts_within(b, lo, hi)]
     else:
         mat = list(moves)
     parent = list(range(len(fiber)))
@@ -352,11 +345,11 @@ def reduce_binomial(h, moves):
 
 def _first_reduction(h, moves):
     """h after the first move or shift that shares an edge with the other
-    side once applied, so that cancelling lowers the degree; else None."""
-    maxv = h.max_vertex()
+    side once applied, so that cancelling lowers the degree; else None.
+    Kernel moves act on h only through shifts within h's vertex span."""
+    lo, hi = h.min_vertex(), h.max_vertex()
     for _, b in moves:
-        for k in range(1 - b.min_vertex(), maxv - b.min_vertex() + 1):
-            s = b.shifted(k)
+        for _, s in shifts_within(b, lo, hi):
             for u, v in ((s.u, s.v), (s.v, s.u)):
                 for a, other in ((h.u, h.v), (h.v, h.u)):
                     cand = apply_move(a, u, v)

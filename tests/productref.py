@@ -1,4 +1,4 @@
-"""Test-side references for the Segre automaton and for minimization.
+"""Test-side references: the builds and walks that `src/` replaced.
 
 `langlib.lang_segre` builds its automaton as one reachable product of the
 two factors.  This module keeps the three-stage build it replaced, from
@@ -11,9 +11,18 @@ shape tau1* tau2* g.
 breadth-first search.  `two_pass_minimize` keeps the two passes it
 replaced: an automaton on the blocks in arbitrary order, then a canonical
 renumbered copy of it.
+
+`toric.shifts_within` takes the shifts of a move within a vertex span.
+`shifts_in_window` keeps the rule it replaced: every shift whose edges are
+all window edges.
+
+`monoracle.GeneratorFamily.normal_strings` and `automata.language_agrees`
+walk explicit stacks.  `normal_strings` and `language_agrees` keep the
+recursive walks they replaced, which hold one Python frame per letter.
 """
 
 from equihilb.automata import Alphabet, Dfa, minimize
+from equihilb.monoracle import edge_spans, window_edges
 
 
 def intersect(a, b):
@@ -162,3 +171,73 @@ def two_pass_minimize(dfa):
                 trans[(b, sym)] = block[t]
     accepts = {b for b, q in reps.items() if q in dfa.accepts}
     return renumbered(Dfa(dfa.alphabet, len(reps), block[dfa.start], accepts, trans))
+
+
+def shifts_in_window(b, kind, c, n):
+    """All shifts of b whose edges are window edges, labelled by offset."""
+    edges = set(window_edges(kind, c, n))
+    lo = 1 - b.min_vertex()
+    hi = n - max(i for (i, j) in list(b.u) + list(b.v))
+    out = []
+    for k in range(lo, hi + 1):
+        s = b.shifted(k)
+        if edges.issuperset(s.u) and edges.issuperset(s.v):
+            out.append((k, s))
+    return out
+
+
+def normal_strings(family, n, d):
+    """The string-bounded canonical pair strings of a gap or window-squares
+    family, by recursion over the next pair."""
+    spans = edge_spans(family.kind, family.c)
+    gap = family.kind == "gap"
+    out = []
+    cur = []
+
+    def rec(pa, pb):
+        if len(cur) == d:
+            out.append(tuple(cur))
+            return
+        for a in range(pa if gap else pb, n + 1):
+            for j in spans:
+                if gap and pb - pa == 2 and (a, j) in ((pa, 1), (pa + 1, 2)):
+                    continue
+                cur.append((a, a + j))
+                rec(a, a + j)
+                cur.pop()
+
+    rec(1, 1)
+    return out
+
+
+def language_agrees(dfa, predicate, maxlen):
+    """(ok, first counterexample or None, words checked) of dfa against a
+    prefix-closed predicate on all words up to maxlen, by recursion."""
+    checked = 0
+
+    def rec(word, q, pred_here):
+        nonlocal checked
+        if len(word) >= maxlen:
+            return None
+        for sym in dfa.alphabet.names:
+            w2 = word + [sym]
+            q2 = dfa.trans.get((q, sym)) if q is not None else None
+            in_dfa = q2 is not None and q2 in dfa.accepts
+            in_pred = bool(predicate(w2))
+            checked += 1
+            if in_dfa != in_pred:
+                return tuple(w2)
+            if in_pred and not pred_here:
+                return tuple(w2)  # predicate not prefix closed: treat as failure
+            if q2 is not None or in_pred:
+                bad = rec(w2, q2, in_pred)
+                if bad:
+                    return bad
+        return None
+
+    root_dfa = dfa.start in dfa.accepts
+    root_pred = bool(predicate([]))
+    if root_dfa != root_pred:
+        return False, (), 1
+    bad = rec([], dfa.start, root_pred)
+    return bad is None, bad, checked

@@ -15,6 +15,7 @@ from equihilb.automata import (
     language_agrees,
 )
 from equihilb.langlib import lang_poly_ring
+import productref
 from productref import hom_preimage, intersect, two_pass_minimize
 
 AB = Alphabet([("tau", 1), ("a", 0), ("b", 0)])
@@ -186,6 +187,15 @@ def test_language_agrees_prefix_closure():
     assert not ok and len(bad) == 2
 
 
+def test_language_agrees_walk_holds_no_frame_per_letter():
+    # one state, one letter: a single path of 1,100 letters, deeper than
+    # Python's default recursion limit
+    one = Alphabet([("tau", 1)])
+    loop = Dfa(one, 1, 0, frozenset({0}), {(0, "tau"): 0})
+    assert language_agrees(loop, lambda w: True, 1100) == (True, None, 1100)
+    assert language_agrees(loop, lambda w: len(w) < 1100, 1100) == (False, ("tau",) * 1100, 1100)
+
+
 def test_to_dot_deterministic():
     dot = A_TAU.to_dot("machine")
     assert dot == A_TAU.to_dot("machine")
@@ -234,6 +244,24 @@ def test_minimize_matches_the_two_pass_reference(dfa):
     m = minimize(dfa)
     assert same_dfa(m, two_pass_minimize(dfa))
     assert same_dfa(minimize(m), m)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(partial_dfas(any_start=True), partial_dfas(any_start=True),
+       st.sampled_from(["closed", "own", "flip", "other"]),
+       st.lists(st.sampled_from(AB.names), min_size=1, max_size=4), st.integers(0, 4))
+def test_language_agrees_matches_the_recursive_reference(dfa, other, pick, flip, maxlen):
+    # "closed" accepts at every state, so its language is prefix closed and
+    # agrees with itself; "own" may not be prefix closed; "flip" differs
+    # from the DFA on one word, "other" on any number
+    if pick == "closed":
+        dfa = Dfa(dfa.alphabet, dfa.r, dfa.start, range(dfa.r), dfa.trans)
+    lang = other if pick == "other" else dfa
+
+    def pred(w):
+        return accepts(lang, w) != (pick == "flip" and list(w) == flip)
+
+    assert language_agrees(dfa, pred, maxlen) == productref.language_agrees(dfa, pred, maxlen)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

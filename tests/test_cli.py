@@ -4,6 +4,7 @@ import json
 import shlex
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 
 from equihilb import cli
@@ -173,6 +174,32 @@ def test_compare_prints_witness():
     assert set(data["results"]) == {"family", "convention", "all_equal", "cells"}
     res = run("compare", "window-squares", "--c", "1", "--format", "json")
     assert json.loads(res.output)["witness"] is None
+
+
+def test_compare_builds_the_witness_only_where_it_prints(monkeypatch):
+    # csv never prints the witness, so it must not map the words of the
+    # first unequal cell for one
+    calls = []
+    maps = cli.word_monomial_maps
+
+    def counted(lang, fam, n, d, conv):
+        calls.append((n, d))
+        return maps(lang, fam, n, d, conv)
+
+    monkeypatch.setattr(cli, "word_monomial_maps", counted)
+    args = ("compare", "gap", "--dmax", "3", "--nmax", "3")
+    witness = ("witness d=3 n=3: [a1 tau a1 tau a1] and [a2 tau a1 a2 tau]"
+               " both give x1*x2^2*x3^2*x4")
+    res = run(*args, "--format", "csv")
+    assert res.exit_code == 0 and "witness" not in res.output
+    assert res.output.splitlines()[-1] == "3,3,47,46,False"
+    assert calls == []
+    res = run(*args)
+    assert res.exit_code == 0 and res.output.splitlines()[-1] == witness
+    assert calls == [(3, 3)]
+    res = run(*args, "--format", "json")
+    assert res.exit_code == 0 and json.loads(res.output)["witness"] == witness
+    assert calls == [(3, 3), (3, 3)]
 
 
 def test_compare_strict_exit_codes():
@@ -366,6 +393,24 @@ def test_toric_degree_stats_is_bounded(monkeypatch):
     res = run("toric", "degree-stats", "--nmin", "40", "--nmax", "40")
     assert res.exit_code == 0
     assert calls == [(40, 40)]
+
+
+@pytest.mark.parametrize("args", [
+    ("series", "ideal-gap"),
+    ("series", "gap", "--expand", "2,2"),
+    ("compare", "gap", "--dmax", "3", "--nmax", "3"),
+    ("toric", "gens", "--dmax", "5"),
+    ("toric", "fibers", "--map", "gap", "--n", "4", "--degree", "2"),
+    ("toric", "reduce", "--binomial", "x[1,1]*x[2,2] - x[1,2]^2", "--c", "1", "--n", "4"),
+    ("toric", "degree-stats", "--nmin", "6", "--nmax", "8"),
+])
+def test_json_envelope(args):
+    res = run(*args, "--format", "json")
+    assert res.exit_code == 0
+    data = json.loads(res.output)
+    extra = {"witness"} if args[0] == "compare" else set()
+    assert set(data) == {"command", "params", "results"} | extra
+    assert data["command"] == (" ".join(args[:2]) if args[0] == "toric" else args[0])
 
 
 def test_export_dot():

@@ -280,7 +280,7 @@ def random_language(draw, alphabet):
                 trans[(q, sym)] = q2
     accepts = draw(st.frozensets(st.integers(0, r - 1)))
     dfa = Dfa(alphabet, r, 0, accepts, trans)
-    return FiltrationLanguage("random", alphabet, dfa, None)
+    return FiltrationLanguage("random", dfa, None)
 
 
 FIRST = Alphabet([("tau", 1), ("a", 0), ("b", 0)])

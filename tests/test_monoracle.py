@@ -18,6 +18,7 @@ from equihilb.monoracle import (
     mono_freeze,
     mono_str,
 )
+import productref
 
 
 def string_product(string):
@@ -107,6 +108,22 @@ def test_gap_counts_diverge_from_language():
     assert hilbert_counts(fam, 2, 2, ALGEBRA).get((2, 2)) == 10
 
 
+def test_normal_strings_match_the_recursive_reference():
+    for kind, cs in (("gap", [None]), ("window-squares", [0, 1, 2, 3])):
+        for c in cs:
+            fam = GeneratorFamily(kind, c)
+            for n in range(0, 7):
+                for d in range(0, 6):
+                    assert fam.normal_strings(n, d) == productref.normal_strings(fam, n, d), (
+                        kind, c, n, d)
+    assert GeneratorFamily("gap").normal_strings(3, -1) == []
+
+
+def test_normal_strings_walk_holds_no_frame_per_pair():
+    # 1,100 pairs run deeper than Python's default recursion limit
+    assert GeneratorFamily("window-squares", 0).normal_strings(1, 1100) == [((1, 1),) * 1100]
+
+
 def test_two_strings_same_monomial():
     fam = GeneratorFamily("gap")
     target = mono_freeze({1: 1, 2: 2, 3: 2, 4: 1})
@@ -131,8 +148,8 @@ def test_word_monomial_maps_gap_collision():
     assert maps["word_count"] == 47
     assert maps["distinct_images"] == 46
     assert maps["monomial_count"] == 46
-    assert not maps["injective"]
-    assert maps["surjective"] and maps["inside"]
+    # not injective, yet onto the oracle's monomials and inside them
+    assert maps["distinct_images"] < maps["word_count"]
     assert not maps["bijective"]
     assert maps["missing"] == [] and maps["extra"] == []
     word_a, word_b, image = maps["collision"]

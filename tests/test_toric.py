@@ -23,12 +23,13 @@ from equihilb.toric import (
     edge_multisets,
     image_targets,
     enumerate_fiber,
-    shifts_in_window,
+    shifts_within,
     fiber_report,
     reduce_binomial,
     gen_degree_stats,
     minimal_generator_degrees,
 )
+from productref import shifts_in_window
 
 
 def test_binomial_basics():
@@ -279,27 +280,46 @@ def test_apply_move_round_trips_and_kernel_moves_keep_the_image(muv):
         assert presentation_image(moved) == presentation_image(m)
 
 
-def test_shifts_in_window():
-    shifts = shifts_in_window(g2(), "gap", None, 5)
+def test_shifts_within():
+    shifts = shifts_within(g2(), 1, 6)
     assert [(k, binomial_str(b)) for k, b in shifts] == [
         (0, "x[1,2]*x[3,4] - x[1,3]*x[2,4]"),
         (1, "x[2,3]*x[4,5] - x[2,4]*x[3,5]"),
         (2, "x[3,4]*x[5,6] - x[3,5]*x[4,6]"),
     ]
-    assert len(shifts_in_window(g2(), "gap", None, 3)) == 1
+    # an exact fit takes the one shift that fills the span
+    assert [(k, binomial_str(b)) for k, b in shifts_within(g2(), 3, 6)] == [
+        (2, "x[3,4]*x[5,6] - x[3,5]*x[4,6]")]
+    assert shifts_within(g2(), 1, 3) == []
+    assert shifts_within(g2(), 1, 0) == []
 
 
-def test_shifts_in_window_matches_brute_force_for_squares():
-    moves = [g2()] + quadric_family(3, 5)
-    for c in range(4):
-        for n in range(1, 7):
-            for b in moves:
-                want = []
-                for k in range(-10, 11):
-                    s = b.shifted(k)
-                    if all(_square_edge(c, n, e) for e in list(s.u) + list(s.v)):
-                        want.append((k, s))
-                assert shifts_in_window(b, "window-squares", c, n) == want, (c, n, b)
+def test_shifts_within_the_target_act_as_the_window_valid_shifts():
+    # a shift acts only where one side divides a fiber element, and both
+    # sides of a kernel move share their vertices, so the target's vertex
+    # span loses none of the window-valid shifts that act
+    gens = [g2()] + [g.binomial() for g in build_gen_family(max_degree=4)]
+    grid = [("gap", None, n, d, gens) for n in range(1, 7) for d in range(1, 5)]
+    grid += [("window-squares", c, n, d, gens + quadric_family(c, n))
+             for c in range(3) for n in range(1, 6) for d in range(1, 4)]
+    checked = 0
+    for kind, c, n, d, moves in grid:
+        window_valid = [dict(shifts_in_window(b, kind, c, n)) for b in moves]
+        for target in image_targets(kind, c, n, d):
+            fiber = enumerate_fiber(kind, c, n, target)
+            members = set(fiber)
+            elements = [dict(f) for f in fiber]
+            for b, old in zip(moves, window_valid):
+                new = dict(shifts_within(b, min(target), max(target)))
+                # the offsets whose shift moves some fiber element to another
+                acting = [k for k, s in sorted({**old, **new}.items())
+                          if any(g is not None and mono_freeze(g) in members
+                                 for f in elements for u, v in ((s.u, s.v), (s.v, s.u))
+                                 for g in [apply_move(f, u, v)])]
+                assert [k for k in acting if k in new] == [k for k in acting if k in old], (
+                    kind, c, n, target, b)
+                checked += bool(acting)
+    assert checked > 1000
 
 
 def test_fiber_report_base_element():
