@@ -16,6 +16,7 @@ from .monoracle import (
     CONVENTIONS,
     GeneratorFamily,
     compare_report,
+    edge_spans,
     mono_str,
     window_edges,
     word_monomial_maps,
@@ -369,13 +370,14 @@ def fibers(ctx, kind, c, n, degree, target, moves, exclude, unsafe, fmt):
     if target is not None:
         tgt = parse_x_monomial(target)
         edge_degree = _cap(ctx, (sum(tgt.values()) + 1) // 2, "target degree")
+    spans = edge_spans(kind, c)
     _cap_multisets(
-        ctx, len(window_edges(kind, c, n)), "window edge", edge_degree, FIBER_MULTISETS_CAP
+        ctx, len(window_edges(spans, n)), "window edge", edge_degree, FIBER_MULTISETS_CAP
     )
     move_list = _move_set(moves, c, n, edge_degree)
     if exclude:
         move_list = [(lbl, b) for lbl, b in move_list if lbl not in exclude]
-    targets = [tgt] if target is not None else image_targets(kind, c, n, degree)
+    targets = [tgt] if target is not None else image_targets(spans, n, degree)
     reports = [fiber_report(kind, c, n, t, move_list, use_shifts=moves == "gens") for t in targets]
     disconnected = sum(not rep["connected"] for rep in reports)
     lines = []

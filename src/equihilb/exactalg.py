@@ -39,7 +39,6 @@ class VarSet:
 
 
 TS = VarSet(("t", "s"))
-TSS = VarSet(("t", "s1", "s2"))
 
 
 class MPoly:

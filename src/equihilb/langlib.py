@@ -176,7 +176,8 @@ def lang_gap(tau="tau", alpha="a"):
 
     Counts monomials of the algebras generated by x_i*x_{i+1} and x_i*x_{i+2}.
     """
-    a1, a2 = "%s1" % alpha, "%s2" % alpha
+    # letter ai stands for the edge span i
+    a1, a2 = ["%s%d" % (alpha, i) for i in edge_spans("gap", None)]
     alphabet = _single_alphabet(tau, [a1, a2])
     trans = {
         (0, tau): 0,

@@ -33,9 +33,8 @@ def poly_ring_rows(c):
     return range(1, c + 1)
 
 
-def window_edges(kind, c, n):
-    """The edges (i, j) of window n, i <= n, in (i, j) order."""
-    spans = edge_spans(kind, c)
+def window_edges(spans, n):
+    """The edges (i, i + span) of window n, i <= n; (i, j) order for ascending spans."""
     return [(i, i + sp) for i in range(1, n + 1) for sp in spans]
 
 
@@ -72,16 +71,16 @@ class GeneratorFamily:
     """Window-indexed generator sets for the built-in algebra filtrations."""
 
     def __init__(self, kind, c=None):
-        if kind == "gap":
-            c = None
-        elif kind == "window-squares":
-            edge_spans(kind, c)
-        elif kind == "poly-ring":
-            poly_ring_rows(c)
+        """letters: the edge spans, or for poly-ring the grid rows, that the
+        content letters of the family's language stand for, in order."""
+        if kind == "poly-ring":
+            self.letters = poly_ring_rows(c)
+        elif kind in ("gap", "window-squares"):
+            self.letters = edge_spans(kind, c)
         else:
             raise ValueError("unknown family %r" % kind)
         self.kind = kind
-        self.c = c
+        self.c = None if kind == "gap" else c
 
     def __repr__(self):
         if self.c is None:
@@ -91,8 +90,8 @@ class GeneratorFamily:
     def generators(self, n):
         """Generators of the window-n algebra, as monomial dicts."""
         if self.kind == "poly-ring":
-            return [{(i, j): 1} for i in range(1, self.c + 1) for j in range(1, n + 1)]
-        return [presentation_image({e: 1}) for e in window_edges(self.kind, self.c, n)]
+            return [{(i, j): 1} for i in self.letters for j in range(1, n + 1)]
+        return [presentation_image({e: 1}) for e in window_edges(self.letters, n)]
 
     def normal_strings(self, n, d):
         """Canonical presentations of [Mon(A_n)]_d, string-bounded convention.
@@ -108,7 +107,7 @@ class GeneratorFamily:
         if d < 1:
             return [()] if d == 0 else []
         gap = self.kind == "gap"
-        pairs = [(a, a + j) for a in range(1, n + 1) for j in edge_spans(self.kind, self.c)]
+        pairs = window_edges(self.letters, n)
         # the pairs that may follow each pair; the key (1, 1) also starts a string
         follow = {
             (pa, pb): [p for p in pairs if p[0] >= (pa if gap else pb)
@@ -169,22 +168,16 @@ def word_to_monomial(kind, word, tau, alpha_index):
     return m if kind == "poly-ring" else presentation_image(m)
 
 
-def _letter_indices(lang):
-    tau = lang.alphabet.on(1)[0]
-    idx = {}
-    for name in lang.alphabet.on(0):
-        digits = "".join(ch for ch in name if ch.isdigit())
-        idx[name] = int(digits)
-    return tau, idx
-
-
 def word_monomial_maps(lang, family, n, d, conv=STRING_BOUNDED):
     """Compare the word -> monomial map against the enumerated monomial set.
 
     "collision" is the first pair of words sharing an image, with that image,
     as (word_a, word_b, frozen monomial); None when the map is injective.
     """
-    tau, idx = _letter_indices(lang)
+    tau = lang.alphabet.on(1)[0]
+    # the language names its content letters in the order of the values they
+    # stand for, so they pair with the family's letters by position
+    idx = dict(zip(lang.alphabet.on(0), family.letters, strict=True))
     words = enumerate_words(lang.dfa, (d, n - 1))
     first_word = {}
     collision = None
@@ -219,24 +212,3 @@ def compare_report(lang, family, nmax, dmax, conv):
     all_equal = all(row["equal"] for row in rows)
     return {"family": repr(family), "convention": conv, "all_equal": all_equal, "cells": rows}
 
-
-def segre_counts(table_a, table_b):
-    """Pointwise products: cell (d, m, n) from (d, m) and (d, n)."""
-    dmax = table_a.bounds[0]
-    out = CountTable(("d", "m", "n"), (dmax, table_a.bounds[1], table_b.bounds[1]))
-    for (d, m), va in table_a.data.items():
-        for (d2, n), vb in table_b.data.items():
-            if d2 == d:
-                out.set((d, m, n), va * vb)
-    return out
-
-
-def tensor_counts(table_a, table_b):
-    """Degree convolutions: cell (d, m, n) sums (d1, m) * (d2, n), d1+d2=d."""
-    dmax = table_a.bounds[0] + table_b.bounds[0]
-    out = CountTable(("d", "m", "n"), (dmax, table_a.bounds[1], table_b.bounds[1]))
-    for (d1, m), va in table_a.data.items():
-        for (d2, n), vb in table_b.data.items():
-            key = (d1 + d2, m, n)
-            out.set(key, out.get(key) + va * vb)
-    return out

@@ -179,14 +179,12 @@ class GenElement:
         for e in middle:
             if w[e] != 2 * sign:
                 return False
-            if prev is not None:
-                if not (prev[0] < e[0] or prev[1] < e[1]):
-                    return False
-                if prev[1] == e[0] and prev[1] - prev[0] == 1 and e[1] - e[0] == 1:
-                    return False
+            # no span-1 chain edge starts where another ends
+            if prev is not None and prev[1] == e[0] and prev[1] - prev[0] == 1 == e[1] - e[0]:
+                return False
             prev = e
             sign = -sign
-        if any(i < 1 or j - i not in edge_spans("gap", None) for i, j in w):
+        if any(j - i not in edge_spans("gap", None) for i, j in w):
             return False
         return kernel_test(self.binomial())
 
@@ -215,36 +213,35 @@ def quadric_family(c, n):
     """Kernel quadrics of the square map with bandwidth c in window n: each
     pair of distinct edge monomials in one degree-2 fiber."""
     fibers = {}
-    for m, img in edge_multisets("window-squares", c, n, 2):
+    for m, img in edge_multisets(edge_spans("window-squares", c), n, 2):
         fibers.setdefault(mono_freeze(img), []).append(m)
     return sorted((Binomial(u, v) for group in fibers.values()
                    for u, v in itertools.combinations(group, 2)), key=Binomial.key)
 
 
-def edge_multisets(kind, c, n, d):
+def edge_multisets(spans, n, d):
     """Every degree-d multiset of window edges, with its x-monomial image."""
-    for combo in itertools.combinations_with_replacement(window_edges(kind, c, n), d):
+    for combo in itertools.combinations_with_replacement(window_edges(spans, n), d):
         m = multiset(combo)
         yield m, presentation_image(m)
 
 
-def image_targets(kind, c, n, d):
+def image_targets(spans, n, d):
     """The distinct images of degree-d window edge multisets, in first-seen
     order, as sorted dicts."""
     seen = {}
-    for _, img in edge_multisets(kind, c, n, d):
+    for _, img in edge_multisets(spans, n, d):
         seen.setdefault(mono_freeze(img), None)
     return [dict(key) for key in seen]
 
 
-def enumerate_fiber(kind, c, n, target):
+def enumerate_fiber(spans, n, target):
     """All window edge-monomials with the given x-monomial image.
 
     A depth-first walk over a stack of (uncovered, edges so far) states; a
     step covers the least uncovered vertex a with an edge (a, a + span) no
     smaller than the edge before it.
     """
-    spans = edge_spans(kind, c)
     for k, e in target.items():
         if not isinstance(e, int) or e < 0:
             raise ValueError("target exponent of x%s must be an int >= 0, got %r" % (k, e))
@@ -291,7 +288,7 @@ def fiber_report(kind, c, n, target, moves, use_shifts=True):
     offset appended; a shift acts only where one side divides a fiber
     element, and both sides of a kernel move share their vertices.
     """
-    fiber = enumerate_fiber(kind, c, n, target)
+    fiber = enumerate_fiber(edge_spans(kind, c), n, target)
     index = {f: i for i, f in enumerate(fiber)}
     if use_shifts:
         lo, hi = min(target, default=1), max(target, default=0)
@@ -401,14 +398,15 @@ def minimal_generator_degrees(kind, c, n, dmax):
     held as its first multiset's edges; its edge union-find is built on a
     second multiset, adding one per new edge and taking one per union.
     """
-    top = n + max(edge_spans(kind, c), default=0)
+    spans = edge_spans(kind, c)
+    top = n + max(spans, default=0)
     out = {}
     for d in range(2, dmax + 1):
         # exponents of a degree-d image are at most 2d, so base 2d + 1 packs it
         powers = [(2 * d + 1) ** v for v in range(top + 1)]
         surplus = 0
         start = None
-        for m, img in edge_multisets(kind, c, n, d):
+        for m, img in edge_multisets(spans, n, d):
             i = next(iter(m))[0]
             if i != start:
                 start, fibers = i, {}

@@ -19,10 +19,17 @@ all window edges.
 `monoracle.GeneratorFamily.normal_strings` and `automata.language_agrees`
 walk explicit stacks.  `normal_strings` and `language_agrees` keep the
 recursive walks they replaced, which hold one Python frame per letter.
+
+`segre_counts` and `tensor_counts` give the count tables that the Segre and
+concatenation products of two languages must have, from the factors' tables;
+`TSS` is the variable set of a two-class series.
 """
 
 from equihilb.automata import Alphabet, Dfa, minimize
-from equihilb.monoracle import edge_spans, window_edges
+from equihilb.exactalg import CountTable, VarSet
+from equihilb.monoracle import window_edges
+
+TSS = VarSet(("t", "s1", "s2"))
 
 
 def intersect(a, b):
@@ -173,9 +180,9 @@ def two_pass_minimize(dfa):
     return renumbered(Dfa(dfa.alphabet, len(reps), block[dfa.start], accepts, trans))
 
 
-def shifts_in_window(b, kind, c, n):
+def shifts_in_window(b, spans, n):
     """All shifts of b whose edges are window edges, labelled by offset."""
-    edges = set(window_edges(kind, c, n))
+    edges = set(window_edges(spans, n))
     lo = 1 - b.min_vertex()
     hi = n - max(i for (i, j) in list(b.u) + list(b.v))
     out = []
@@ -189,7 +196,7 @@ def shifts_in_window(b, kind, c, n):
 def normal_strings(family, n, d):
     """The string-bounded canonical pair strings of a gap or window-squares
     family, by recursion over the next pair."""
-    spans = edge_spans(family.kind, family.c)
+    spans = family.letters
     gap = family.kind == "gap"
     out = []
     cur = []
@@ -241,3 +248,25 @@ def language_agrees(dfa, predicate, maxlen):
         return False, (), 1
     bad = rec([], dfa.start, root_pred)
     return bad is None, bad, checked
+
+
+def segre_counts(table_a, table_b):
+    """Pointwise products: cell (d, m, n) from (d, m) and (d, n)."""
+    dmax = table_a.bounds[0]
+    out = CountTable(("d", "m", "n"), (dmax, table_a.bounds[1], table_b.bounds[1]))
+    for (d, m), va in table_a.data.items():
+        for (d2, n), vb in table_b.data.items():
+            if d2 == d:
+                out.set((d, m, n), va * vb)
+    return out
+
+
+def tensor_counts(table_a, table_b):
+    """Degree convolutions: cell (d, m, n) sums (d1, m) * (d2, n), d1+d2=d."""
+    dmax = table_a.bounds[0] + table_b.bounds[0]
+    out = CountTable(("d", "m", "n"), (dmax, table_a.bounds[1], table_b.bounds[1]))
+    for (d1, m), va in table_a.data.items():
+        for (d2, n), vb in table_b.data.items():
+            key = (d1 + d2, m, n)
+            out.set(key, out.get(key) + va * vb)
+    return out

@@ -28,10 +28,9 @@ from equihilb.langlib import (
 from equihilb.monoracle import (
     STRING_BOUNDED,
     GeneratorFamily,
+    edge_spans,
     hilbert_counts,
     mono_str,
-    segre_counts,
-    tensor_counts,
     word_monomial_maps,
 )
 from equihilb.toric import (
@@ -47,6 +46,7 @@ from equihilb.toric import (
     quadric_family,
 )
 from polytext import parse_ratfun
+from productref import segre_counts, tensor_counts
 
 TS = VarSet(["t", "s"])
 
@@ -326,7 +326,7 @@ def test_criterion_11_fiber_connectivity():
     fibers = 0
     for n in range(2, 7):
         for degree in range(1, 5):
-            for target in image_targets("gap", None, n, degree):
+            for target in image_targets(edge_spans("gap", None), n, degree):
                 rep = fiber_report("gap", None, n, target, gap_moves)
                 fibers += 1
                 if not rep["connected"]:
@@ -336,7 +336,7 @@ def test_criterion_11_fiber_connectivity():
             moves = [("q%d" % i, b)
                      for i, b in enumerate(quadric_family(c, n))]
             for degree in range(1, 5):
-                for target in image_targets("window-squares", c, n, degree):
+                for target in image_targets(edge_spans("window-squares", c), n, degree):
                     rep = fiber_report("window-squares", c, n, target, moves,
                                        use_shifts=False)
                     fibers += 1

@@ -363,6 +363,23 @@ def test_toric_inputs_name_real_variables():
     assert "'x0'" in res.output and "at least 1" in res.output
 
 
+@pytest.mark.parametrize("command, message", [
+    ("series gap --expand 3,x", "bad --expand '3,x'"),
+    ("series gap --expand 3", "--expand needs 2 bounds for gap"),
+    ("series gap --format csv", "csv output needs --expand"),
+    ("toric fibers --map gap --n 3", "need --target or --degree"),
+    ("toric reduce --moves nope --binomial 'x[1,2]*x[3,4] - x[1,3]*x[2,4]'",
+     "unknown move set 'nope'"),
+    ("toric reduce --binomial 'x[1,2]'", "binomial must look like 'mono - mono'"),
+    ("toric reduce --binomial 'x[1,2]*y1 - x[1,2]'", "bad edge monomial 'y1'"),
+    ("toric fibers --map gap --n 3 --target 'x[1,2]'", "bad x-monomial 'x[1,2]'"),
+])
+def test_malformed_input_is_a_usage_error(command, message):
+    res = run(*shlex.split(command))
+    assert res.exit_code == 2
+    assert "Error: %s" % message in res.output
+
+
 def test_toric_degree_stats():
     res = run("toric", "degree-stats", "--nmin", "6", "--nmax", "13")
     assert res.exit_code == 0

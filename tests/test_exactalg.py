@@ -10,7 +10,6 @@ import sympy
 from hypothesis import example, given, settings, strategies as st
 
 from equihilb.exactalg import (
-    TSS,
     VarSet,
     MPoly,
     RatFun,
@@ -24,6 +23,7 @@ from equihilb.exactalg import (
     ratfun_to_text,
 )
 from polytext import parse_poly, parse_ratfun
+from productref import TSS
 
 TS = VarSet(["t", "s"])
 

@@ -6,11 +6,11 @@ from equihilb.automata import Alphabet, Dfa
 from equihilb.exactalg import VarSet, MPoly, RatFun, rat_equal
 from equihilb.genfun import WeightFn, transfer_matrix, transfer_series, series_check
 from polytext import parse_ratfun
+from productref import TSS
 
 TS = VarSet(["t", "s"])
 AB = Alphabet([("tau", 1), ("a", 0)])
 AB2 = Alphabet([("tau", 1), ("sig", 2), ("a", 0)])
-TSS = VarSet(["t", "s1", "s2"])
 
 
 def test_weightfn_standard():

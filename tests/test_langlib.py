@@ -27,12 +27,11 @@ from equihilb.langlib import (
     builtin_pair,
     ideal_gap_series,
 )
-from equihilb.monoracle import segre_counts, tensor_counts
 import productref
 from polytext import parse_ratfun
+from productref import TSS, segre_counts, tensor_counts
 
 TS = VarSet(["t", "s"])
-TSS = VarSet(["t", "s1", "s2"])
 
 
 def ws_closed_text(c):

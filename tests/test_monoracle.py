@@ -13,12 +13,11 @@ from equihilb.monoracle import (
     word_to_monomial,
     word_monomial_maps,
     compare_report,
-    segre_counts,
-    tensor_counts,
     mono_freeze,
     mono_str,
 )
 import productref
+from productref import segre_counts, tensor_counts
 
 
 def string_product(string):
@@ -141,6 +140,20 @@ def test_word_monomial_maps_window_squares_bijective():
                 maps = word_monomial_maps(lang, fam, n, d)
                 assert maps["bijective"], (c, n, d, maps)
                 assert maps["collision"] is None
+    # content letters pair with the family's letters by alphabet order, not
+    # by the digits in their names: "a20" stands for span 0, "x12" for row 2
+    renamed = [(lang_window_squares(1, alpha="a2"), GeneratorFamily("window-squares", 1),
+                STRING_BOUNDED),
+               (lang_poly_ring(2, alpha="x1"), GeneratorFamily("poly-ring", 2), ALGEBRA)]
+    for lang, fam, conv in renamed:
+        maps = word_monomial_maps(lang, fam, 3, 2, conv)
+        assert maps["bijective"], (lang, fam, maps)
+        assert maps["extra"] == [] and maps["missing"] == []
+    # a language and a family of different c have different letter counts
+    for lang, fam in [(lang_window_squares(1), GeneratorFamily("window-squares", 2)),
+                      (lang_poly_ring(3), GeneratorFamily("poly-ring", 2))]:
+        with pytest.raises(ValueError):
+            word_monomial_maps(lang, fam, 3, 2)
 
 
 def test_word_monomial_maps_gap_collision():

@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from equihilb.monoracle import mono_freeze, mono_str, multiset
+from equihilb.monoracle import edge_spans, mono_freeze, mono_str, multiset
 from equihilb.toric import (
     Binomial,
     GenElement,
@@ -30,6 +30,8 @@ from equihilb.toric import (
     minimal_generator_degrees,
 )
 from productref import shifts_in_window
+
+GAP = edge_spans("gap", None)
 
 
 def test_binomial_basics():
@@ -71,17 +73,18 @@ def test_kernel_test():
 
 
 def test_window_edges_and_validity():
-    assert window_edges("gap", None, 2) == [(1, 2), (1, 3), (2, 3), (2, 4)]
-    assert window_edges("window-squares", 1, 2) == [(1, 1), (1, 2), (2, 2), (2, 3)]
-    gap3 = window_edges("gap", None, 3)
+    assert GAP == (1, 2) and tuple(edge_spans("window-squares", 2)) == (0, 1, 2)
+    assert window_edges(GAP, 2) == [(1, 2), (1, 3), (2, 3), (2, 4)]
+    assert window_edges((0, 1), 2) == [(1, 1), (1, 2), (2, 2), (2, 3)]
+    gap3 = window_edges(GAP, 3)
     assert (1, 2) in gap3 and (3, 5) in gap3
     assert (1, 4) not in gap3  # too wide
     assert (3, 3) not in gap3  # no diagonals in gap
     assert (4, 5) not in gap3  # starts past the window
-    squares3 = window_edges("window-squares", 1, 3)
+    squares3 = window_edges((0, 1), 3)
     assert (1, 1) in squares3 and (1, 3) not in squares3
-    with pytest.raises(ValueError):
-        window_edges("nope", None, 3)
+    with pytest.raises(ValueError, match="unknown map kind 'nope'"):
+        edge_spans("nope", None)
 
 
 def test_base_element():
@@ -126,6 +129,23 @@ def test_family_kernel_and_structure():
     for e in build_gen_family(max_degree=12):
         assert kernel_test(e.binomial()), e.label()
         assert e.structure_check(), e.label()
+
+
+@pytest.mark.parametrize("edit", [
+    {(1, 2): 2},  # bottom-triangle weight
+    {(8, 9): -2},  # top-triangle weight other than 1 or -1
+    {(9, 10): -1},  # top-triangle sign
+    {(3, 5): 0},  # the chain no longer starts at (3, 5)
+    {(5, 6): 2},  # chain weights stop alternating
+    {(6, 7): 2, (6, 8): -2},  # span-1 chain edges (5, 6), (6, 7) meet
+    {(5, 6): 0, (5, 8): -2},  # a chain edge of span 3
+])
+def test_structure_check_rejects_a_corrupted_element(edit):
+    # g(2): bottom triangle, chain (3,5) (5,6) (6,8), top triangle at k = 10
+    good = GenElement.base().child(2)
+    assert good.structure_check()
+    bad = GenElement(good.s, {e: w for e, w in {**good.w, **edit}.items() if w})
+    assert not bad.structure_check()
 
 
 def test_quadric_family():
@@ -174,31 +194,31 @@ def test_quadric_family_matches_index_ranges():
 
 
 def test_enumerate_fiber():
-    fib = enumerate_fiber("gap", None, 3, {1: 1, 2: 2, 3: 2, 4: 1})
+    fib = enumerate_fiber(GAP, 3, {1: 1, 2: 2, 3: 2, 4: 1})
     assert fib == [(((1, 2), 1), ((2, 3), 1), ((3, 4), 1)),
                    (((1, 3), 1), ((2, 3), 1), ((2, 4), 1))]
-    assert enumerate_fiber("gap", None, 3, {1: 1, 2: 1, 3: 1, 4: 1}) == \
+    assert enumerate_fiber(GAP, 3, {1: 1, 2: 1, 3: 1, 4: 1}) == \
         [(((1, 2), 1), ((3, 4), 1)), (((1, 3), 1), ((2, 4), 1))]
     # the wide edge (3,4) does not fit at n=2, the crossing pair still does
-    assert enumerate_fiber("gap", None, 2, {1: 1, 2: 1, 3: 1, 4: 1}) == \
+    assert enumerate_fiber(GAP, 2, {1: 1, 2: 1, 3: 1, 4: 1}) == \
         [(((1, 3), 1), ((2, 4), 1))]
-    assert enumerate_fiber("gap", None, 3, {1: 1}) == []
+    assert enumerate_fiber(GAP, 3, {1: 1}) == []
     # vertex 0 lies in no window: x0 would give the edges x[0,1] and x[0,0]
     with pytest.raises(ValueError, match="x0 needs an index of at least 1"):
-        enumerate_fiber("gap", None, 3, {0: 1, 1: 1})
+        enumerate_fiber(GAP, 3, {0: 1, 1: 1})
     with pytest.raises(ValueError, match="x0 needs an index of at least 1"):
-        enumerate_fiber("window-squares", 1, 3, {0: 2})
+        enumerate_fiber((0, 1), 3, {0: 2})
     # a zero exponent names no variable
-    assert enumerate_fiber("window-squares", 1, 3, {0: 0, 1: 2}) == [(((1, 1), 1),)]
+    assert enumerate_fiber((0, 1), 3, {0: 0, 1: 2}) == [(((1, 1), 1),)]
 
 
 def test_enumerate_fiber_deep_targets_and_bad_exponents():
     # one edge per step of the walk, with no recursion to run out of
-    assert enumerate_fiber("gap", None, 1, {1: 1100, 2: 1100}) == [(((1, 2), 1100),)]
+    assert enumerate_fiber(GAP, 1, {1: 1100, 2: 1100}) == [(((1, 2), 1100),)]
     with pytest.raises(ValueError, match="exponent of x1 must be an int >= 0, got -1"):
-        enumerate_fiber("gap", None, 3, {1: -1, 2: 1})
+        enumerate_fiber(GAP, 3, {1: -1, 2: 1})
     with pytest.raises(ValueError, match="exponent of x1 must be an int >= 0, got 1.0"):
-        enumerate_fiber("gap", None, 3, {1: 1.0, 2: 1})
+        enumerate_fiber(GAP, 3, {1: 1.0, 2: 1})
 
 
 @pytest.mark.parametrize("c", [None, -1, 1.5, "2"])
@@ -206,36 +226,34 @@ def test_window_squares_rejects_a_bad_c(c):
     with pytest.raises(ValueError, match="c=%r" % (c,)):
         minimal_generator_degrees("window-squares", c, 3, 3)
     with pytest.raises(ValueError, match="c=%r" % (c,)):
-        enumerate_fiber("window-squares", c, 3, {1: 1, 2: 1})
+        fiber_report("window-squares", c, 3, {1: 1, 2: 1}, [])
     with pytest.raises(ValueError, match="c=%r" % (c,)):
         quadric_family(c, 3)
 
 
-KINDS = st.sampled_from([("gap", None)] + [("window-squares", c) for c in range(3)])
+SPANS = st.sampled_from([GAP] + [edge_spans("window-squares", c) for c in range(3)])
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(KINDS, st.integers(1, 5), st.integers(1, 4))
-def test_edge_multisets_grouped_by_image_are_the_fibers(kind_c, n, d):
-    kind, c = kind_c
+@given(SPANS, st.integers(1, 5), st.integers(1, 4))
+def test_edge_multisets_grouped_by_image_are_the_fibers(spans, n, d):
     groups = {}
-    for m, img in edge_multisets(kind, c, n, d):
+    for m, img in edge_multisets(spans, n, d):
         assert sum(m.values()) == d and img == presentation_image(m)
         groups.setdefault(mono_freeze(img), []).append(mono_freeze(m))
-    targets = image_targets(kind, c, n, d)
+    targets = image_targets(spans, n, d)
     assert [mono_freeze(t) for t in targets] == list(groups)
     for t in targets:
         assert list(t) == sorted(t)
-        assert enumerate_fiber(kind, c, n, t) == sorted(groups[mono_freeze(t)])
+        assert enumerate_fiber(spans, n, t) == sorted(groups[mono_freeze(t)])
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(st.sampled_from([("gap", None)] + [("window-squares", c) for c in range(6)]),
+@given(st.sampled_from([GAP] + [edge_spans("window-squares", c) for c in range(6)]),
        st.integers(0, 6), st.integers(2, 4))
-def test_packed_keys_and_start_vertices_follow_the_images(kind_c, n, d):
-    kind, c = kind_c
+def test_packed_keys_and_start_vertices_follow_the_images(spans, n, d):
     by_key, by_image, starts = {}, {}, []
-    for m, img in edge_multisets(kind, c, n, d):
+    for m, img in edge_multisets(spans, n, d):
         frozen = mono_freeze(m)
         by_key.setdefault(sum(e * (2 * d + 1) ** v for v, e in img.items()), []).append(frozen)
         by_image.setdefault(mono_freeze(img), []).append(frozen)
@@ -252,13 +270,13 @@ def test_packed_keys_and_start_vertices_follow_the_images(kind_c, n, d):
 
 @st.composite
 def moves_on_monomials(draw):
-    kind, c = draw(KINDS)
-    edges = st.lists(st.sampled_from(window_edges(kind, c, draw(st.integers(1, 5)))),
+    spans = draw(SPANS)
+    edges = st.lists(st.sampled_from(window_edges(spans, draw(st.integers(1, 5)))),
                      min_size=2, max_size=4)
     u_edges = draw(edges)
     u = multiset(u_edges)
     if draw(st.booleans()):
-        fiber = enumerate_fiber(kind, c, max(i for i, _ in u_edges), presentation_image(u))
+        fiber = enumerate_fiber(spans, max(i for i, _ in u_edges), presentation_image(u))
         v = dict(draw(st.sampled_from([f for f in fiber if dict(f) != u] or fiber)))
     else:
         v = multiset(draw(edges))
@@ -299,14 +317,14 @@ def test_shifts_within_the_target_act_as_the_window_valid_shifts():
     # sides of a kernel move share their vertices, so the target's vertex
     # span loses none of the window-valid shifts that act
     gens = [g2()] + [g.binomial() for g in build_gen_family(max_degree=4)]
-    grid = [("gap", None, n, d, gens) for n in range(1, 7) for d in range(1, 5)]
-    grid += [("window-squares", c, n, d, gens + quadric_family(c, n))
+    grid = [(GAP, n, d, gens) for n in range(1, 7) for d in range(1, 5)]
+    grid += [(edge_spans("window-squares", c), n, d, gens + quadric_family(c, n))
              for c in range(3) for n in range(1, 6) for d in range(1, 4)]
     checked = 0
-    for kind, c, n, d, moves in grid:
-        window_valid = [dict(shifts_in_window(b, kind, c, n)) for b in moves]
-        for target in image_targets(kind, c, n, d):
-            fiber = enumerate_fiber(kind, c, n, target)
+    for spans, n, d, moves in grid:
+        window_valid = [dict(shifts_in_window(b, spans, n)) for b in moves]
+        for target in image_targets(spans, n, d):
+            fiber = enumerate_fiber(spans, n, target)
             members = set(fiber)
             elements = [dict(f) for f in fiber]
             for b, old in zip(moves, window_valid):
@@ -317,7 +335,7 @@ def test_shifts_within_the_target_act_as_the_window_valid_shifts():
                                  for f in elements for u, v in ((s.u, s.v), (s.v, s.u))
                                  for g in [apply_move(f, u, v)])]
                 assert [k for k in acting if k in new] == [k for k in acting if k in old], (
-                    kind, c, n, target, b)
+                    spans, n, target, b)
                 checked += bool(acting)
     assert checked > 1000
 
@@ -387,7 +405,7 @@ def test_reduce_window_squares_kernel_by_quadrics():
     checked = 0
     for d in (2, 3):
         for frozen in fam.enumerate_monomials(4, d, "string-bounded"):
-            fiber = enumerate_fiber("window-squares", 1, 4, dict(frozen))
+            fiber = enumerate_fiber(fam.letters, 4, dict(frozen))
             first = dict(fiber[0])
             for other in fiber[1:]:
                 h = Binomial(first, dict(other))
@@ -407,7 +425,7 @@ def _pairwise_generator_count(kind, c, n, d):
     """Minimal generators of degree d: per fiber, components - 1, with two
     edge multisets adjacent when their supports meet (checked pair by pair)."""
     fibers = {}
-    for m, img in edge_multisets(kind, c, n, d):
+    for m, img in edge_multisets(edge_spans(kind, c), n, d):
         fibers.setdefault(mono_freeze(img), []).append(set(m))
     total = 0
     for group in fibers.values():
