@@ -1,6 +1,7 @@
 """Exact integer polynomial / rational function arithmetic.
 
-MPoly is a sparse exponent-dict polynomial over a fixed variable set.
+MPoly is a sparse exponent-dict polynomial over a fixed variable set, a
+tuple of variable names shared by all polys that interoperate.
 RatFun is a quotient of MPolys that is never gcd-reduced; equality is
 cross multiplication and canonicalization only strips integer content
 and fixes the denominator's leading sign.
@@ -11,34 +12,7 @@ import math
 import operator
 
 
-class VarSet:
-    """Ordered tuple of variable names, shared by all polys that interoperate."""
-
-    __slots__ = ("names", "index")
-
-    def __init__(self, names):
-        self.names = tuple(names)
-        if len(set(self.names)) != len(self.names):
-            raise ValueError("duplicate variable names")
-        self.index = {x: i for i, x in enumerate(self.names)}
-
-    def __len__(self):
-        return len(self.names)
-
-    def __eq__(self, other):
-        return isinstance(other, VarSet) and self.names == other.names
-
-    def __hash__(self):
-        return hash(self.names)
-
-    def __repr__(self):
-        return "VarSet%r" % (self.names,)
-
-    def zero_exp(self):
-        return (0,) * len(self.names)
-
-
-TS = VarSet(("t", "s"))
+TS = ("t", "s")
 
 
 class MPoly:
@@ -56,12 +30,12 @@ class MPoly:
 
     @classmethod
     def const(cls, vars, c):
-        return cls(vars, {vars.zero_exp(): c})
+        return cls(vars, {(0,) * len(vars): c})
 
     @classmethod
     def var(cls, vars, name, power=1):
         e = [0] * len(vars)
-        e[vars.index[name]] = power
+        e[vars.index(name)] = power
         return cls(vars, {tuple(e): 1})
 
     @classmethod
@@ -72,7 +46,7 @@ class MPoly:
         return not self.terms
 
     def constant_term(self):
-        return self.terms.get(self.vars.zero_exp(), 0)
+        return self.terms.get((0,) * len(self.vars), 0)
 
     def _chk(self, other):
         if self.vars != other.vars:
@@ -82,9 +56,6 @@ class MPoly:
         if not isinstance(other, MPoly):
             return NotImplemented
         return self.vars == other.vars and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
 
     def __add__(self, other):
         if isinstance(other, int):
@@ -205,50 +176,22 @@ class RatFun:
     def vars(self):
         return self.num.vars
 
-    @classmethod
-    def const(cls, vars, c):
-        return cls(MPoly.const(vars, c))
-
-    def is_zero(self):
-        return self.num.is_zero()
-
-    def _lift(self, other):
-        if isinstance(other, int):
-            return RatFun.const(self.vars, other)
-        if isinstance(other, MPoly):
-            return RatFun(other)
-        return other
-
     def __add__(self, other):
-        other = self._lift(other)
         return RatFun(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    __radd__ = __add__
 
     def __neg__(self):
         return RatFun(-self.num, self.den)
 
     def __sub__(self, other):
-        other = self._lift(other)
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
-        other = self._lift(other)
         return RatFun(self.num * other.num, self.den * other.den)
 
-    __rmul__ = __mul__
-
     def __eq__(self, other):
-        if isinstance(other, (int, MPoly)):
-            other = self._lift(other)
         if not isinstance(other, RatFun):
             return NotImplemented
         return self.num * other.den == other.num * self.den
-
-    __hash__ = None
 
     def __repr__(self):
         return "RatFun(%s)" % ratfun_to_text(self)
@@ -385,7 +328,7 @@ def series_expand(f, bounds, axes=None):
             cells[k] = val
             if val:
                 data[pre + (k - start,)] = val
-    return CountTable(tuple(axes) if axes else vs.names, bounds, data)
+    return CountTable(tuple(axes) if axes else vs, bounds, data)
 
 
 def bareiss_minors(mat):
@@ -426,7 +369,7 @@ def poly_to_text(p):
     for e in sorted(p.terms, key=_exp_key):
         c = p.terms[e]
         factors = []
-        for name, k in zip(p.vars.names, e):
+        for name, k in zip(p.vars, e):
             if k == 1:
                 factors.append(name)
             elif k > 1:

@@ -16,7 +16,7 @@ the series by exactalg.series_expand in integers and compare it cell by cell
 with automata.dp_count, which counts the accepted words directly.
 """
 
-from .exactalg import TS, MPoly, RatFun, VarSet, bareiss_minors, series_expand, table_mismatches
+from .exactalg import TS, MPoly, RatFun, bareiss_minors, series_expand, table_mismatches
 from .automata import dp_count, minimize
 
 
@@ -30,10 +30,10 @@ class WeightFn:
     def __init__(self, alphabet):
         self.alphabet = alphabet
         k = alphabet.sizes
-        self.vars = TS if k == 1 else VarSet(("t",) + tuple("s%d" % i for i in range(1, k + 1)))
+        self.vars = TS if k == 1 else ("t",) + tuple("s%d" % i for i in range(1, k + 1))
 
     def monomial(self, name):
-        return MPoly.var(self.vars, self.vars.names[self.alphabet.axis[name]])
+        return MPoly.var(self.vars, self.vars[self.alphabet.axis[name]])
 
 
 def transfer_matrix(dfa, weights):

@@ -33,6 +33,9 @@ class FiltrationLanguage:
         self.notes = notes
         self.weights = WeightFn(self.alphabet)
         self.vars = self.weights.vars
+        # (kind, c) of the GeneratorFamily a built-in single language stands
+        # for; its builder sets it, and pair languages keep None
+        self.family = None
         self._transfer = None
 
     def check(self, maxlen):
@@ -100,12 +103,14 @@ def lang_poly_ring(c, tau="tau", alpha="a"):
     t = MPoly.var(TS, "t")
     s = MPoly.var(TS, "s")
     closed = RatFun(MPoly.const(TS, 1), (1 - t) ** c - s)
-    return FiltrationLanguage(
+    lang = FiltrationLanguage(
         "poly-ring(%d)" % c,
         dfa,
         predicate,
         reference_series=[("closed form", closed)],
     )
+    lang.family = ("poly-ring", c)
+    return lang
 
 
 def lang_window_squares(c, tau="tau", alpha="a"):
@@ -156,7 +161,7 @@ def lang_window_squares(c, tau="tau", alpha="a"):
         ramp = ramp + (c - e) * s**e
     closed = RatFun(1 + t * ramp, 1 - t - s - t * geom)
     alt_closed = RatFun(c * t + 1, 1 - s - t * geom)
-    return FiltrationLanguage(
+    lang = FiltrationLanguage(
         "window-squares(%d)" % c,
         dfa,
         predicate,
@@ -168,6 +173,8 @@ def lang_window_squares(c, tau="tau", alpha="a"):
             "-t denominator term; its tau-free slice stops at degree one."
         ),
     )
+    lang.family = ("window-squares", c)
+    return lang
 
 
 def lang_gap(tau="tau", alpha="a"):
@@ -210,12 +217,14 @@ def lang_gap(tau="tau", alpha="a"):
 
     t, s = MPoly.var(TS, "t"), MPoly.var(TS, "s")
     closed = RatFun(t * s + 1, 1 - 2 * t - s + t**2 + t * s - t**2 * s - t * s**2)
-    return FiltrationLanguage(
+    lang = FiltrationLanguage(
         "gap",
         dfa,
         predicate,
         reference_series=[("closed form", closed)],
     )
+    lang.family = ("gap", None)
+    return lang
 
 
 def _reclass(alphabet, cls):

@@ -173,7 +173,12 @@ def word_monomial_maps(lang, family, n, d, conv=STRING_BOUNDED):
 
     "collision" is the first pair of words sharing an image, with that image,
     as (word_a, word_b, frozen monomial); None when the map is injective.
+    Raises ValueError unless lang is a built-in single language built for
+    the family's (kind, c).
     """
+    if lang.family != (family.kind, family.c):
+        raise ValueError("language %s (built for %r) does not pair with %r"
+                         % (lang.name, lang.family, family))
     tau = lang.alphabet.on(1)[0]
     # the language names its content letters in the order of the values they
     # stand for, so they pair with the family's letters by position

@@ -366,10 +366,10 @@ def gen_degree_stats(nmin, nmax):
     gives the closed form: 0 for n <= 2, 2 for 3 <= n <= 5, floor(2n/3)
     from n = 6 on.
     """
+    sized = [(g.span(), g.degree()) for g in build_gen_family(max_span=nmax + 1)]
     rows = []
     for n in range(nmin, nmax + 1):
-        fam = build_gen_family(max_span=n + 1)
-        computed = max([g.degree() for g in fam], default=0)
+        computed = max([deg for span, deg in sized if span <= n + 1], default=0)
         if n >= 3:
             computed = max(computed, g2().degree())
         if n < 3:

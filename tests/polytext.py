@@ -12,14 +12,14 @@ from equihilb.exactalg import MPoly, RatFun
 
 
 def _read(vars, text):
-    syms = sympy.symbols(vars.names)
-    return syms, sympy.sympify(text, locals=dict(zip(vars.names, syms)))
+    syms = sympy.symbols(vars)
+    return syms, sympy.sympify(text, locals=dict(zip(vars, syms)))
 
 
 def _mpoly(vars, syms, expr):
     terms = sympy.Poly(expr, *syms).terms()
     if not all(c.is_integer for _, c in terms):
-        raise ValueError("not an integer polynomial in %s: %s" % (", ".join(vars.names), expr))
+        raise ValueError("not an integer polynomial in %s: %s" % (", ".join(vars), expr))
     return MPoly(vars, {e: int(c) for e, c in terms})
 
 

@@ -26,10 +26,10 @@ concatenation products of two languages must have, from the factors' tables;
 """
 
 from equihilb.automata import Alphabet, Dfa, minimize
-from equihilb.exactalg import CountTable, VarSet
+from equihilb.exactalg import CountTable
 from equihilb.monoracle import window_edges
 
-TSS = VarSet(("t", "s1", "s2"))
+TSS = ("t", "s1", "s2")
 
 
 def intersect(a, b):

@@ -3,12 +3,12 @@
 from hypothesis import given, settings, strategies as st
 
 from equihilb.automata import Alphabet, Dfa
-from equihilb.exactalg import VarSet, MPoly, RatFun, rat_equal
+from equihilb.exactalg import MPoly, RatFun, rat_equal
 from equihilb.genfun import WeightFn, transfer_matrix, transfer_series, series_check
 from polytext import parse_ratfun
 from productref import TSS
 
-TS = VarSet(["t", "s"])
+TS = ("t", "s")
 AB = Alphabet([("tau", 1), ("a", 0)])
 AB2 = Alphabet([("tau", 1), ("sig", 2), ("a", 0)])
 

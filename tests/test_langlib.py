@@ -10,7 +10,6 @@ from equihilb.automata import Alphabet, Dfa, dp_count, language_agrees
 from equihilb.exactalg import (
     MPoly,
     RatFun,
-    VarSet,
     rat_equal,
     ratfun_to_text,
     series_expand,
@@ -31,7 +30,7 @@ import productref
 from polytext import parse_ratfun
 from productref import TSS, segre_counts, tensor_counts
 
-TS = VarSet(["t", "s"])
+TS = ("t", "s")
 
 
 def ws_closed_text(c):

@@ -1,5 +1,7 @@
 """Tests for the brute-force monomial oracle."""
 
+import re
+
 import pytest
 
 from equihilb.exactalg import CountTable, series_expand
@@ -149,11 +151,16 @@ def test_word_monomial_maps_window_squares_bijective():
         maps = word_monomial_maps(lang, fam, 3, 2, conv)
         assert maps["bijective"], (lang, fam, maps)
         assert maps["extra"] == [] and maps["missing"] == []
-    # a language and a family of different c have different letter counts
-    for lang, fam in [(lang_window_squares(1), GeneratorFamily("window-squares", 2)),
-                      (lang_poly_ring(3), GeneratorFamily("poly-ring", 2))]:
-        with pytest.raises(ValueError):
-            word_monomial_maps(lang, fam, 3, 2)
+    # a language and a family of different c have different letter counts;
+    # different kinds may share a letter count and are refused all the same
+    for lang, fam, conv in [
+            (lang_window_squares(1), GeneratorFamily("window-squares", 2), STRING_BOUNDED),
+            (lang_poly_ring(3), GeneratorFamily("poly-ring", 2), STRING_BOUNDED),
+            (lang_window_squares(1), GeneratorFamily("gap"), STRING_BOUNDED),
+            (lang_poly_ring(2), GeneratorFamily("gap"), STRING_BOUNDED),
+            (lang_gap(), GeneratorFamily("poly-ring", 2), ALGEBRA)]:
+        with pytest.raises(ValueError, match=r"language %s .* GeneratorFamily" % re.escape(lang.name)):
+            word_monomial_maps(lang, fam, 3, 2, conv)
 
 
 def test_word_monomial_maps_gap_collision():
