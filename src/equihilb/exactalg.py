@@ -33,14 +33,14 @@ class MPoly:
         return cls(vars, {(0,) * len(vars): c})
 
     @classmethod
-    def var(cls, vars, name, power=1):
+    def var(cls, vars, name):
         e = [0] * len(vars)
-        e[vars.index(name)] = power
+        e[vars.index(name)] = 1
         return cls(vars, {tuple(e): 1})
 
     @classmethod
-    def monomial(cls, vars, exp, coeff=1):
-        return cls(vars, {tuple(exp): coeff})
+    def monomial(cls, vars, exp):
+        return cls(vars, {tuple(exp): 1})
 
     def is_zero(self):
         return not self.terms

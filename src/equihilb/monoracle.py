@@ -8,7 +8,7 @@ the two can be compared cell by cell.
 import itertools
 
 from .exactalg import CountTable
-from .automata import dp_count, enumerate_words
+from .automata import Alphabet, Dfa, dp_count, enumerate_words
 
 ALGEBRA = "algebra"
 STRING_BOUNDED = "string-bounded"
@@ -87,11 +87,13 @@ class GeneratorFamily:
             return "GeneratorFamily(%s)" % self.kind
         return "GeneratorFamily(%s, c=%d)" % (self.kind, self.c)
 
+    def variables(self, value, k):
+        """The variables, with repeats, of the generator for a letter value at position k."""
+        return ((value, k),) if self.kind == "poly-ring" else (k, k + value)
+
     def generators(self, n):
         """Generators of the window-n algebra, as monomial dicts."""
-        if self.kind == "poly-ring":
-            return [{(i, j): 1} for i in self.letters for j in range(1, n + 1)]
-        return [presentation_image({e: 1}) for e in window_edges(self.letters, n)]
+        return [multiset(self.variables(v, k)) for k in range(1, n + 1) for v in self.letters]
 
     def normal_strings(self, n, d):
         """Canonical presentations of [Mon(A_n)]_d, string-bounded convention.
@@ -99,30 +101,20 @@ class GeneratorFamily:
         Pairs (a, a + span) with a <= n.  For window-squares the flat string
         is sorted: the next a is at least the previous b.  For gap the pairs
         are sorted, and after (a, a + 2) neither (a, a + 1) nor (a + 1, a + 3)
-        may follow.  A depth-first walk over a stack of (string so far, its
-        last pair); followers go on in reverse, so strings come out sorted.
+        may follow.  They are the degree-d words, sorted by enumerate_words, of
+        an all-accepting automaton on the pairs in window_edges order whose
+        state is the last pair read; state 0 stands for (1, 1).
         """
         if self.kind == "poly-ring":
             raise ValueError("poly-ring has no pair strings")
-        if d < 1:
-            return [()] if d == 0 else []
         gap = self.kind == "gap"
         pairs = window_edges(self.letters, n)
-        # the pairs that may follow each pair; the key (1, 1) also starts a string
-        follow = {
-            (pa, pb): [p for p in pairs if p[0] >= (pa if gap else pb)
-                       and not (gap and pb - pa == 2 and p in ((pa, pa + 1), (pa + 1, pa + 3)))]
-            for pa, pb in [(1, 1)] + pairs
-        }
-        out = []
-        stack = [((), (1, 1))]
-        while stack:
-            head, last = stack.pop()
-            if len(head) + 1 == d:
-                out.extend([head + (p,) for p in follow[last]])
-            else:
-                stack.extend([(head + (p,), p) for p in reversed(follow[last])])
-        return out
+        trans = {(q, p): r for q, (pa, pb) in enumerate([(1, 1)] + pairs)
+                 for r, p in enumerate(pairs, 1) if p[0] >= (pa if gap else pb)
+                 and not (gap and pb - pa == 2 and p in ((pa, pa + 1), (pa + 1, pa + 3)))}
+        states = range(len(pairs) + 1)
+        follow = Dfa(Alphabet((p, 0) for p in pairs), len(states), 0, states, trans)
+        return enumerate_words(follow, (d,))
 
     def enumerate_monomials(self, n, d, conv):
         """Set of frozen monomials of internal degree d in the window-n algebra."""
@@ -139,7 +131,7 @@ class GeneratorFamily:
                 out.add(mono_freeze(m))
             return out
         return {
-            mono_freeze(presentation_image(multiset(pairs)))
+            mono_freeze(multiset(itertools.chain.from_iterable(pairs)))
             for pairs in self.normal_strings(n, d)
         }
 
@@ -153,19 +145,24 @@ def hilbert_counts(family, nmax, dmax, conv):
     return out
 
 
-def word_to_monomial(kind, word, tau, alpha_index):
-    """Monomial image of an accepted word; letters become window generators,
-    every size letter shifts what follows one step to the right."""
+def word_to_monomial(family, word, tau, values):
+    """Monomial image of an accepted word: each content letter is the family's
+    generator for its value, and each size letter moves the position on."""
     keys = []
-    k = 0
+    k = 1
     for sym in word:
         if sym == tau:
             k += 1
         else:
-            i = alpha_index[sym]
-            keys.append((i, k + 1) if kind == "poly-ring" else (k + 1, k + 1 + i))
-    m = multiset(keys)
-    return m if kind == "poly-ring" else presentation_image(m)
+            keys.extend(family.variables(values[sym], k))
+    return multiset(keys)
+
+
+def _check_pairing(lang, family):
+    """Refuse a language that is not a built-in single built for the family."""
+    if lang.family != (family.kind, family.c):
+        raise ValueError("language %s (built for %r) does not pair with %r"
+                         % (lang.name, lang.family, family))
 
 
 def word_monomial_maps(lang, family, n, d, conv=STRING_BOUNDED):
@@ -176,18 +173,16 @@ def word_monomial_maps(lang, family, n, d, conv=STRING_BOUNDED):
     Raises ValueError unless lang is a built-in single language built for
     the family's (kind, c).
     """
-    if lang.family != (family.kind, family.c):
-        raise ValueError("language %s (built for %r) does not pair with %r"
-                         % (lang.name, lang.family, family))
+    _check_pairing(lang, family)
     tau = lang.alphabet.on(1)[0]
     # the language names its content letters in the order of the values they
     # stand for, so they pair with the family's letters by position
-    idx = dict(zip(lang.alphabet.on(0), family.letters, strict=True))
+    values = dict(zip(lang.alphabet.on(0), family.letters, strict=True))
     words = enumerate_words(lang.dfa, (d, n - 1))
     first_word = {}
     collision = None
     for w in words:
-        img = mono_freeze(word_to_monomial(family.kind, w, tau, idx))
+        img = mono_freeze(word_to_monomial(family, w, tau, values))
         if collision is None and img in first_word:
             collision = (first_word[img], w, img)
         first_word.setdefault(img, w)
@@ -206,6 +201,7 @@ def word_monomial_maps(lang, family, n, d, conv=STRING_BOUNDED):
 
 def compare_report(lang, family, nmax, dmax, conv):
     """Language counts vs oracle counts on windows 1..nmax, degrees 0..dmax."""
+    _check_pairing(lang, family)
     table = dp_count(lang.dfa, dmax, (nmax - 1,))
     oracle = hilbert_counts(family, nmax, dmax, conv)
     rows = []

@@ -16,9 +16,10 @@ renumbered copy of it.
 `shifts_in_window` keeps the rule it replaced: every shift whose edges are
 all window edges.
 
-`monoracle.GeneratorFamily.normal_strings` and `automata.language_agrees`
-walk explicit stacks.  `normal_strings` and `language_agrees` keep the
-recursive walks they replaced, which hold one Python frame per letter.
+`monoracle.GeneratorFamily.normal_strings` walks its pair automaton with
+`automata.enumerate_words`, and `automata.language_agrees` walks an
+explicit stack.  `normal_strings` and `language_agrees` keep the recursive
+walks they replaced, which hold one Python frame per letter.
 
 `segre_counts` and `tensor_counts` give the count tables that the Segre and
 concatenation products of two languages must have, from the factors' tables;

@@ -285,6 +285,16 @@ def test_toric_fibers_target():
     assert "0 disconnected fiber(s)" in res.output
 
 
+def test_toric_fibers_target_drops_zero_exponents():
+    # x1^0 names no factor: the target, and so its vertex span, starts at x2
+    assert cli.parse_x_monomial("x1^0*x2^2") == {2: 2}
+    for target, shown in (("x1^0*x2^2", "x2^2"), ("x1^0", "1")):
+        res = run("toric", "fibers", "--map", "window-squares", "--c", "1", "--n", "3",
+                  "--target", target, "--format", "json")
+        assert res.exit_code == 0
+        assert json.loads(res.output)["results"]["target"] == shown
+
+
 def test_toric_fibers_exclusion_disconnects():
     base_target = "x1*x2*x3^2*x5^2*x6*x7"
     res = run("toric", "fibers", "--map", "gap", "--n", "7",

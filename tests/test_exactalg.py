@@ -32,7 +32,7 @@ def rand_poly(rng, vs=TS, max_terms=4, max_exp=3, max_coeff=5):
     for _ in range(rng.randint(1, max_terms)):
         exp = tuple(rng.randint(0, max_exp) for _ in vs)
         c = rng.randint(-max_coeff, max_coeff)
-        p = p + MPoly.monomial(vs, exp, c)
+        p = p + c * MPoly.monomial(vs, exp)
     return p
 
 
@@ -46,7 +46,7 @@ def to_sympy(p):
 
 small_polys = st.lists(
     st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(-3, 3)), max_size=3
-).map(lambda ts: sum((MPoly.monomial(TS, (i, j), c) for i, j, c in ts), MPoly.zero(TS)))
+).map(lambda ts: sum((c * MPoly.monomial(TS, (i, j)) for i, j, c in ts), MPoly.zero(TS)))
 
 
 def test_mpoly_construction():
@@ -55,10 +55,10 @@ def test_mpoly_construction():
     s = MPoly.var(TS, "s")
     assert MPoly.zero(TS).is_zero()
     assert not one.is_zero()
-    assert t * t == MPoly.var(TS, "t", 2)
+    assert t * t == MPoly.var(TS, "t") ** 2
     assert t + s == s + t
     assert (t - t).is_zero()
-    assert MPoly.monomial(TS, (2, 1), 3) == 3 * t * t * s
+    assert 3 * MPoly.monomial(TS, (2, 1)) == 3 * t * t * s
     # int coercion on either side
     assert 2 * t == t + t
     assert t + 0 == t

@@ -5,7 +5,7 @@ import re
 import pytest
 
 from equihilb.exactalg import CountTable, series_expand
-from equihilb.langlib import lang_gap, lang_poly_ring, lang_window_squares
+from equihilb.langlib import builtin_single, lang_gap, lang_poly_ring, lang_window_squares
 from equihilb.monoracle import (
     ALGEBRA,
     STRING_BOUNDED,
@@ -54,8 +54,8 @@ def test_window_squares_generators():
 
 def test_poly_ring_generators():
     fam = GeneratorFamily("poly-ring", 2)
-    assert fam.generators(2) == [{(1, 1): 1}, {(1, 2): 1},
-                                 {(2, 1): 1}, {(2, 2): 1}]
+    assert fam.generators(2) == [{(1, 1): 1}, {(2, 1): 1},
+                                 {(1, 2): 1}, {(2, 2): 1}]
 
 
 def test_conventions_differ_on_gap():
@@ -176,16 +176,33 @@ def test_word_monomial_maps_gap_collision():
     assert word_a != word_b
     assert mono_str(dict(image)) == "x1*x2^2*x3^2*x4"
     for w in (word_a, word_b):
-        assert mono_freeze(word_to_monomial("gap", w, "tau", {"a1": 1, "a2": 2})) == image
+        assert mono_freeze(word_to_monomial(GeneratorFamily("gap"), w, "tau",
+                                            {"a1": 1, "a2": 2})) == image
 
 
 def test_word_to_monomial():
-    mono = word_to_monomial("gap", ("a1", "a2", "tau", "a1"), "tau",
+    mono = word_to_monomial(GeneratorFamily("gap"), ("a1", "a2", "tau", "a1"), "tau",
                             {"a1": 1, "a2": 2})
     assert mono == {1: 2, 2: 2, 3: 2}
-    sq = word_to_monomial("window-squares", ("a0", "tau", "a1"), "tau",
+    sq = word_to_monomial(GeneratorFamily("window-squares", 1), ("a0", "tau", "a1"), "tau",
                           {"a0": 0, "a1": 1})
     assert sq == {1: 2, 2: 1, 3: 1}
+
+
+SINGLES = [("poly-ring", c) for c in (1, 2, 3)] + [
+    ("window-squares", c) for c in (0, 1, 2, 3)] + [("gap", None)]
+
+
+def test_one_letter_words_map_onto_the_generators():
+    # the word tau^(k-1) a stands for the generator of letter a at position k
+    for kind, c in SINGLES:
+        lang, fam = builtin_single(kind, c), GeneratorFamily(kind, c)
+        tau = lang.alphabet.on(1)[0]
+        values = dict(zip(lang.alphabet.on(0), fam.letters, strict=True))
+        for n in range(5):
+            images = [word_to_monomial(fam, (tau,) * (k - 1) + (a,), tau, values)
+                      for k in range(1, n + 1) for a in lang.alphabet.on(0)]
+            assert images == fam.generators(n), (kind, c, n)
 
 
 def test_compare_report():
@@ -198,6 +215,15 @@ def test_compare_report():
                           GeneratorFamily("window-squares", 1), 3, 3,
                           STRING_BOUNDED)
     assert rep2["all_equal"]
+    # a language built for another family is refused, not reported unequal
+    for lang, fam, conv in [
+            (lang_window_squares(1), GeneratorFamily("gap"), STRING_BOUNDED),
+            (lang_poly_ring(2), GeneratorFamily("gap"), STRING_BOUNDED),
+            (lang_gap(), GeneratorFamily("poly-ring", 2), ALGEBRA),
+            (lang_window_squares(1), GeneratorFamily("window-squares", 2), STRING_BOUNDED)]:
+        message = r"language %s .* GeneratorFamily" % re.escape(lang.name)
+        with pytest.raises(ValueError, match=message):
+            compare_report(lang, fam, 3, 2, conv)
 
 
 def test_segre_and_tensor_counts():

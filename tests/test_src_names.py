@@ -9,6 +9,13 @@ call belongs in `tests/`.  Dunder names and click commands (which the
 `main` group reaches by decoration) are skipped.  Members are matched by
 name alone, so a used member hides an unused one of the same name in
 another class.
+
+A parameter with a default counts as used when some call in
+`src/equihilb` or a `bench/*.py` file passes it: by keyword, by position,
+or through a `*` or `**` argument.  Calls are matched to a function by its
+name alone, as members are, and a method's `self` or `cls` takes no
+position of an attribute call.  Dunder methods and click commands are
+skipped.
 """
 
 import ast
@@ -80,6 +87,59 @@ def test_every_src_name_has_a_caller_outside_the_tests():
     assert unused_src_names() == []
 
 
+def _passes(tree):
+    """(callee name, arguments passed by position, names passed by keyword)
+    of each call in a parsed tree; a `*` argument passes every position and
+    a `**` argument every name, shown as None."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            star = any(isinstance(a, ast.Starred) for a in node.args)
+            keywords = [k.arg for k in node.keywords]
+            out.append((name, None if star else len(node.args),
+                        None if None in keywords else set(keywords)))
+    return out
+
+
+def unpassed_src_defaults(root=ROOT):
+    """(module, function or "Class.method", parameter) of each parameter with
+    a default that no call in src or bench passes."""
+    trees = [(path.stem, ast.parse(path.read_text()))
+             for path in sorted((root / "src" / "equihilb").glob("*.py"))]
+    calls = [call for _, tree in trees for call in _passes(tree)]
+    for path in sorted((root / "bench").glob("*.py")):
+        calls += _passes(ast.parse(path.read_text()))
+    out = []
+    for module, tree in trees:
+        defs = [("", stmt, 0) for stmt in tree.body]
+        defs += [(stmt.name + ".", member, 1) for stmt in tree.body
+                 if isinstance(stmt, ast.ClassDef) for member in stmt.body]
+        for prefix, fn, skip in defs:
+            if not isinstance(fn, ast.FunctionDef) or not _defined(fn):
+                continue
+            if any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list):
+                skip = 0
+            args = fn.args
+            positional = args.posonlyargs + args.args
+            params = [(arg.arg, i - skip)
+                      for i, arg in enumerate(positional)
+                      if i >= len(positional) - len(args.defaults)]
+            params += [(arg.arg, None) for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                       if default is not None]
+            ours = [(npos, names) for name, npos, names in calls if name == fn.name]
+            for param, pos in params:
+                if not any((pos is not None and (npos is None or npos > pos))
+                           or names is None or param in names for npos, names in ours):
+                    out.append((module, prefix + fn.name, param))
+    return out
+
+
+def test_every_src_default_is_passed_outside_the_tests():
+    assert unpassed_src_defaults() == []
+
+
 def _scratch_tree(root, source):
     """A checkout whose one src module m holds the source; pyproject names
     main and a bench file names Fam.count."""
@@ -124,3 +184,27 @@ def test_the_guard_flags_a_member_only_its_own_statement_uses(tmp_path):
     )
     assert unused_src_names(tmp_path) == [
         ("m", "Fam.SPARE"), ("m", "Fam.walk"), ("m", "Other.orphan")]
+
+
+def test_the_guard_flags_a_default_no_src_call_passes(tmp_path):
+    _scratch_tree(
+        tmp_path,
+        "def main(a, by_pos=1, by_key=2, spare=3, *, only=4, spare_kw=5): pass\n"
+        "def star(a=1, b=2): pass\n"
+        "def double(a=1, *, b=2): pass\n"
+        "class Fam:\n"
+        "    def __init__(self, spare=1): pass\n"
+        "    def count(self, a, step=1): pass\n"
+        "    @staticmethod\n"
+        "    def size(a, step=1): pass\n"
+        "def use(xs, kw):\n"
+        "    main(0, 1, by_key=2, only=3)\n"
+        "    star(*xs)\n"
+        "    double(**kw)\n"
+        "    Fam().count(1, 2)\n"
+        "    Fam.size(1)\n"
+        "@main.command()\n"
+        "def cmd(spare=1): pass\n"
+    )
+    assert unpassed_src_defaults(tmp_path) == [
+        ("m", "main", "spare"), ("m", "main", "spare_kw"), ("m", "Fam.size", "step")]
