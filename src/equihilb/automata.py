@@ -50,16 +50,12 @@ class Dfa:
         self.trans = dict(trans)
         self.state_names = list(state_names) if state_names else None
 
-    def name_of(self, q):
-        if self.state_names:
-            return self.state_names[q]
-        return str(q)
-
     def to_dot(self, title="dfa"):
         lines = ["digraph %s {" % title, "  rankdir=LR;", '  __start [shape=none, label=""];']
         for q in range(self.r):
             shape = "doublecircle" if q in self.accepts else "circle"
-            lines.append('  %d [shape=%s, label="%s"];' % (q, shape, self.name_of(q)))
+            name = self.state_names[q] if self.state_names else q
+            lines.append('  %d [shape=%s, label="%s"];' % (q, shape, name))
         lines.append("  __start -> %d;" % self.start)
         for q in range(self.r):
             for sym in self.alphabet.names:
@@ -80,27 +76,19 @@ def minimize(dfa):
     in alphabet order, so equal languages give equal automata.
     """
     SINK = dfa.r
+    names = dfa.alphabet.names
     block = {}
     for q in range(dfa.r):
         block[q] = 1 if q in dfa.accepts else 0
     block[SINK] = 0
     while True:
-        sigs = {}
-        for q in list(block):
-            sig = (block[q],)
-            for sym in dfa.alphabet.names:
-                if q == SINK:
-                    t = SINK
-                else:
-                    t = dfa.trans.get((q, sym), SINK)
-                sig += (block[t],)
-            sigs[q] = sig
+        # SINK is no state of dfa, so its moves fall back to SINK
+        sigs = {q: (block[q],) + tuple(block[dfa.trans.get((q, sym), SINK)] for sym in names)
+                for q in block}
         relabel = {}
         newblock = {}
         for q in sorted(block):
-            if sigs[q] not in relabel:
-                relabel[sigs[q]] = len(relabel)
-            newblock[q] = relabel[sigs[q]]
+            newblock[q] = relabel.setdefault(sigs[q], len(relabel))
         if newblock == block:
             break
         block = newblock
@@ -113,7 +101,7 @@ def minimize(dfa):
     num = {order[0]: 0}
     trans = {}
     for i, b in enumerate(order):
-        for sym in dfa.alphabet.names:
+        for sym in names:
             t = block[dfa.trans.get((rep[b], sym), SINK)]
             if t == sink_block:
                 continue
@@ -217,33 +205,35 @@ def enumerate_words(dfa, profile):
 def language_agrees(dfa, predicate, maxlen):
     """Check dfa vs predicate on all words up to maxlen.
 
-    Prunes subtrees where the DFA has no transition and the predicate is
-    false; sound for prefix-closed predicates, which is also checked along
-    the way.  Returns (ok, first_counterexample_or_None, words_checked).
-    A depth-first walk with one iterator per letter of the current word,
-    each over the alphabet.
+    Prunes subtrees where the DFA has no transition, where the predicate
+    must be false too; sound for prefix-closed predicates, which is also
+    checked along the way.  Returns (ok, first_counterexample_or_None,
+    words_checked).  A depth-first walk over one growing word, with one
+    iterator per letter of it, each over its state's (letter, next state)
+    row in alphabet order.  The predicate receives that live word list: it
+    must neither keep nor change it.
     """
     root_pred = bool(predicate([]))
     if (dfa.start in dfa.accepts) != root_pred:
         return False, (), 1
+    rows = [[(sym, dfa.trans.get((q, sym))) for sym in dfa.alphabet.names] for q in range(dfa.r)]
     checked = 0
     word = []
-    # (state or None, predicate holds, letters left) per prefix of word
-    stack = [(dfa.start, root_pred, iter(dfa.alphabet.names))] if maxlen > 0 else []
+    # (predicate holds, moves left) per prefix of word
+    stack = [(root_pred, iter(rows[dfa.start]))] if maxlen > 0 else []
     while stack:
-        q, pred_here, syms = stack[-1]
-        for sym in syms:
-            w2 = word + [sym]
-            q2 = dfa.trans.get((q, sym))
-            in_pred = bool(predicate(w2))
+        pred_here, moves = stack[-1]
+        for sym, q in moves:
+            word.append(sym)
+            in_pred = bool(predicate(word))
             checked += 1
             # the second test fails a predicate that is not prefix closed
-            if (q2 in dfa.accepts) != in_pred or (in_pred and not pred_here):
-                return False, tuple(w2), checked
-            if (q2 is not None or in_pred) and len(w2) < maxlen:
-                word.append(sym)
-                stack.append((q2, in_pred, iter(dfa.alphabet.names)))
+            if (q in dfa.accepts) != in_pred or (in_pred and not pred_here):
+                return False, tuple(word), checked
+            if q is not None and len(word) < maxlen:
+                stack.append((in_pred, iter(rows[q])))
                 break
+            word.pop()
         else:
             stack.pop()
             if word:

@@ -6,7 +6,7 @@ import math
 import re
 import sys
 
-from .exactalg import rat_equal, ratfun_to_text, series_expand
+from .exactalg import rat_equal, ratfun_to_text, series_expand, table_mismatches
 from .langlib import (
     builtin_pair,
     builtin_single,
@@ -94,6 +94,15 @@ def _emit(fmt, command, params, results, lines, **extra):
             click.echo(line)
 
 
+def _first_difference(a, b, name_a, name_b):
+    """The first coefficient where the series of a and b differ, up to exponent
+    10 on every axis (they must differ there), as text naming their values."""
+    box = (10,) * len(a.vars)
+    cell, x, y = table_mismatches(series_expand(a, box), series_expand(b, box))[0]
+    where = " ".join("%s^%d" % ve for ve in zip(a.vars, cell))
+    return "first difference at %s: %s %d against %s %d" % (where, name_a, x, name_b, y)
+
+
 @click.group()
 def main():
     """Equivariant Hilbert series of shift-invariant monomial algebras."""
@@ -144,11 +153,13 @@ def series(ctx, selector, c, a, a_c, b, b_c, expand, checked, unsafe, fmt):
             "  stated:   %s" % ratfun_to_text(stated),
             "  rat_equal: %s" % eq,
         ]
-        if not eq:
-            lines.append("  MISMATCH between computed identity and stated form")
         results = {
             "computed": ratfun_to_text(computed), "stated": ratfun_to_text(stated), "equal": eq
         }
+        if not eq:
+            results["witness"] = _first_difference(computed, stated, "computed", "stated")
+            lines += ["  MISMATCH between computed identity and stated form",
+                      "    " + results["witness"]]
         _emit(fmt, "series", {"selector": selector}, results, lines)
         return
     _cap_sizes(ctx, c, a_c, b_c)
@@ -164,6 +175,9 @@ def series(ctx, selector, c, a, a_c, b, b_c, expand, checked, unsafe, fmt):
         eq = rat_equal(lang.transfer(), ref)
         results[label] = {"value": ratfun_to_text(ref), "matches_transfer": eq}
         lines.append("  %s (transfer): %s  [%s]" % (label, ratfun_to_text(ref), "agrees" if eq else "DIFFERS"))
+        if not eq:
+            results[label]["witness"] = _first_difference(lang.transfer(), ref, "transfer", "form")
+            lines.append("    " + results[label]["witness"])
     if lang.notes:
         lines.append("  note: %s" % lang.notes)
     if expand:
@@ -366,6 +380,8 @@ def fibers(ctx, kind, c, n, degree, target, moves, exclude, unsafe, fmt):
         moves = "gens" if kind == "gap" else "quadrics"
     if target is None and degree is None:
         raise click.UsageError("need --target or --degree")
+    if target is not None and degree is not None:
+        raise click.UsageError("--target and --degree cannot both be given")
     edge_degree = degree
     if target is not None:
         tgt = parse_x_monomial(target)

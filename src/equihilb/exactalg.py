@@ -72,8 +72,6 @@ class MPoly:
         return MPoly(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = MPoly.const(self.vars, other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -124,8 +122,6 @@ def divexact(a, b):
     """Divide a by b, both MPoly, requiring the division to be exact."""
     if b.is_zero():
         raise ZeroDivisionError("divexact by zero")
-    if a.is_zero():
-        return MPoly.zero(a.vars)
     rem = dict(a.terms)
     q = {}
     eb = b.leading()

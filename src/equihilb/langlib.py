@@ -76,16 +76,11 @@ def lang_poly_ring(c, tau="tau", alpha="a"):
     alphas = ["%s%d" % (alpha, i) for i in poly_ring_rows(c)]
     alphabet = _single_alphabet(tau, alphas)
     idx = {a: i + 1 for i, a in enumerate(alphas)}
-    # state 0: fresh after tau; state i: just read a_i
-    trans = {(0, tau): 0}
-    for a in alphas:
-        trans[(0, a)] = idx[a]
-    for a in alphas:
-        i = idx[a]
+    # state 0: fresh after tau, so any a_i may follow; state i: just read a_i
+    trans = {}
+    for i in range(c + 1):
         trans[(i, tau)] = 0
-        for b in alphas:
-            if idx[b] >= i:
-                trans[(i, b)] = idx[b]
+        trans.update({(i, b): idx[b] for b in alphas if idx[b] >= i})
     dfa = Dfa(alphabet, c + 1, 0, set(range(c + 1)), trans, [str(q + 1) for q in range(c + 1)])
 
     def predicate(word):
@@ -122,7 +117,6 @@ def lang_window_squares(c, tau="tau", alpha="a"):
     alphas = ["%s%d" % (alpha, i) for i in edge_spans("window-squares", c)]
     alphabet = _single_alphabet(tau, alphas)
     states = [(i, j) for i in range(c + 1) for j in range(i + 1)]
-    states.sort()
     idx = {st: q for q, st in enumerate(states)}
     trans = {}
     for (i, j) in states:

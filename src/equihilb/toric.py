@@ -261,7 +261,7 @@ def enumerate_fiber(spans, n, target):
         for sp in spans:
             e = (a, a + sp)
             if e >= floor:
-                rest = apply_move(rem, presentation_image({e: 1}), {})
+                rest = apply_move(rem, multiset(e), {})
                 if rest is not None:
                     stack.append((rest, e, {**acc, e: acc.get(e, 0) + 1}))
     return sorted(out)
@@ -270,6 +270,18 @@ def enumerate_fiber(spans, n, target):
 def shifts_within(b, lo, hi):
     """The (offset, shifted binomial) pairs of b whose vertices lie in lo..hi."""
     return [(k, b.shifted(k)) for k in range(lo - b.min_vertex(), hi - b.max_vertex() + 1)]
+
+
+def move_sides(moves, span):
+    """(label, u, v) for each move, each of its shifts within the vertex span
+    (lo, hi) unless span is None (the offset appended to the label), and both
+    directions: x^u becomes x^v."""
+    for label, b in moves:
+        shifts = [(label, b)] if span is None else [
+            ("%s%+d" % (label, k), s) for k, s in shifts_within(b, *span)]
+        for name, s in shifts:
+            yield name, s.u, s.v
+            yield name, s.v, s.u
 
 
 def _root(parent, x):
@@ -290,26 +302,21 @@ def fiber_report(kind, c, n, target, moves, use_shifts=True):
     """
     fiber = enumerate_fiber(edge_spans(kind, c), n, target)
     index = {f: i for i, f in enumerate(fiber)}
-    if use_shifts:
-        lo, hi = min(target, default=1), max(target, default=0)
-        mat = [("%s%+d" % (label, k), s)
-               for label, b in moves for k, s in shifts_within(b, lo, hi)]
-    else:
-        mat = list(moves)
+    span = (min(target, default=1), max(target, default=0)) if use_shifts else None
+    sides = list(move_sides(moves, span))
     parent = list(range(len(fiber)))
     used = set()
     for a, f in enumerate(fiber):
         fd = dict(f)
-        for label, b in mat:
-            for u, v in ((b.u, b.v), (b.v, b.u)):
-                g = apply_move(fd, u, v)
-                other = None if g is None else index.get(mono_freeze(g))
-                if other is None:
-                    continue
-                ra, rb = _root(parent, a), _root(parent, other)
-                if ra != rb:
-                    parent[ra] = rb
-                    used.add(label)
+        for label, u, v in sides:
+            g = apply_move(fd, u, v)
+            other = None if g is None else index.get(mono_freeze(g))
+            if other is None:
+                continue
+            ra, rb = _root(parent, a), _root(parent, other)
+            if ra != rb:
+                parent[ra] = rb
+                used.add(label)
     comps = {}
     for a, f in enumerate(fiber):
         comps.setdefault(_root(parent, a), []).append(f)
@@ -331,7 +338,6 @@ def reduce_binomial(h, moves):
     """
     if not kernel_test(h):
         raise ValueError("input binomial is not in the kernel")
-    h = Binomial(dict(h.u), dict(h.v))
     while not h.is_zero():
         lower = _first_reduction(h, moves)
         if lower is None:
@@ -344,14 +350,11 @@ def _first_reduction(h, moves):
     """h after the first move or shift that shares an edge with the other
     side once applied, so that cancelling lowers the degree; else None.
     Kernel moves act on h only through shifts within h's vertex span."""
-    lo, hi = h.min_vertex(), h.max_vertex()
-    for _, b in moves:
-        for _, s in shifts_within(b, lo, hi):
-            for u, v in ((s.u, s.v), (s.v, s.u)):
-                for a, other in ((h.u, h.v), (h.v, h.u)):
-                    cand = apply_move(a, u, v)
-                    if cand is not None and not cand.keys().isdisjoint(other):
-                        return Binomial(cand, dict(other))
+    for _, u, v in move_sides(moves, (h.min_vertex(), h.max_vertex())):
+        for a, other in ((h.u, h.v), (h.v, h.u)):
+            cand = apply_move(a, u, v)
+            if cand is not None and not cand.keys().isdisjoint(other):
+                return Binomial(cand, dict(other))
     return None
 
 

@@ -16,6 +16,12 @@ renumbered copy of it.
 `shifts_in_window` keeps the rule it replaced: every shift whose edges are
 all window edges.
 
+`toric.fiber_report` and `toric.reduce_binomial` read their moves from one
+generator, `toric.move_sides`, of every shift and direction of each move.
+`fiber_report` and `first_reduction` keep the nested loops over moves,
+shifts and directions that each of them spelled out before, and
+`reduce_binomial` steps by `first_reduction`.
+
 `monoracle.GeneratorFamily.normal_strings` walks its pair automaton with
 `automata.enumerate_words`, and `automata.language_agrees` walks an
 explicit stack.  `normal_strings` and `language_agrees` keep the recursive
@@ -28,7 +34,8 @@ concatenation products of two languages must have, from the factors' tables;
 
 from equihilb.automata import Alphabet, Dfa, minimize
 from equihilb.exactalg import CountTable
-from equihilb.monoracle import window_edges
+from equihilb.monoracle import edge_spans, mono_freeze, mono_str, window_edges
+from equihilb.toric import Binomial, _root, apply_move, enumerate_fiber, shifts_within
 
 TSS = ("t", "s1", "s2")
 
@@ -192,6 +199,70 @@ def shifts_in_window(b, spans, n):
         if edges.issuperset(s.u) and edges.issuperset(s.v):
             out.append((k, s))
     return out
+
+
+def fiber_report(kind, c, n, target, moves, use_shifts=True):
+    """`toric.fiber_report` with the move loop it had before
+    `toric.move_sides`: the shifted moves listed first, then both directions
+    of each taken inside the loop over the fiber."""
+    fiber = enumerate_fiber(edge_spans(kind, c), n, target)
+    index = {f: i for i, f in enumerate(fiber)}
+    if use_shifts:
+        lo, hi = min(target, default=1), max(target, default=0)
+        mat = [("%s%+d" % (label, k), s)
+               for label, b in moves for k, s in shifts_within(b, lo, hi)]
+    else:
+        mat = list(moves)
+    parent = list(range(len(fiber)))
+    used = set()
+    for a, f in enumerate(fiber):
+        fd = dict(f)
+        for label, b in mat:
+            for u, v in ((b.u, b.v), (b.v, b.u)):
+                g = apply_move(fd, u, v)
+                other = None if g is None else index.get(mono_freeze(g))
+                if other is None:
+                    continue
+                ra, rb = _root(parent, a), _root(parent, other)
+                if ra != rb:
+                    parent[ra] = rb
+                    used.add(label)
+    comps = {}
+    for a, f in enumerate(fiber):
+        comps.setdefault(_root(parent, a), []).append(f)
+    components = sorted(sorted(mono_str(dict(f)) for f in comp) for comp in comps.values())
+    return {
+        "target": mono_str(target),
+        "fiber_size": len(fiber),
+        "components": components,
+        "connected": len(components) <= 1,
+        "moves_used": sorted(used),
+    }
+
+
+def first_reduction(h, moves):
+    """`toric._first_reduction` with the three nested loops over moves,
+    shifts and directions that it had before `toric.move_sides`."""
+    lo, hi = h.min_vertex(), h.max_vertex()
+    for _, b in moves:
+        for _, s in shifts_within(b, lo, hi):
+            for u, v in ((s.u, s.v), (s.v, s.u)):
+                for a, other in ((h.u, h.v), (h.v, h.u)):
+                    cand = apply_move(a, u, v)
+                    if cand is not None and not cand.keys().isdisjoint(other):
+                        return Binomial(cand, dict(other))
+    return None
+
+
+def reduce_binomial(h, moves):
+    """`toric.reduce_binomial`, one `first_reduction` step at a time."""
+    h = Binomial(dict(h.u), dict(h.v))
+    while not h.is_zero():
+        lower = first_reduction(h, moves)
+        if lower is None:
+            return h
+        h = lower
+    return h
 
 
 def normal_strings(family, n, d):

@@ -14,7 +14,7 @@ from equihilb.automata import (
     enumerate_words,
     language_agrees,
 )
-from equihilb.langlib import lang_poly_ring
+from equihilb.langlib import builtin_pair, builtin_single, lang_poly_ring
 import productref
 from productref import hom_preimage, intersect, two_pass_minimize
 
@@ -246,14 +246,17 @@ def test_minimize_matches_the_two_pass_reference(dfa):
     assert same_dfa(minimize(m), m)
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(partial_dfas(any_start=True), partial_dfas(any_start=True),
-       st.sampled_from(["closed", "own", "flip", "other"]),
-       st.lists(st.sampled_from(AB.names), min_size=1, max_size=4), st.integers(0, 4))
-def test_language_agrees_matches_the_recursive_reference(dfa, other, pick, flip, maxlen):
-    # "closed" accepts at every state, so its language is prefix closed and
-    # agrees with itself; "own" may not be prefix closed; "flip" differs
-    # from the DFA on one word, "other" on any number
+@st.composite
+def agrees_cases(draw):
+    """(dfa, predicate, maxlen) over AB.  The predicate is "closed", the
+    language of the DFA made to accept at every state, so prefix closed and
+    agreeing; "own", the DFA's language, which may not be prefix closed;
+    "flip", which differs from the DFA on one word; or "other", which
+    differs on any number."""
+    dfa = draw(partial_dfas(any_start=True))
+    other = draw(partial_dfas(any_start=True))
+    pick = draw(st.sampled_from(["closed", "own", "flip", "other"]))
+    flip = draw(st.lists(st.sampled_from(AB.names), min_size=1, max_size=4))
     if pick == "closed":
         dfa = Dfa(dfa.alphabet, dfa.r, dfa.start, range(dfa.r), dfa.trans)
     lang = other if pick == "other" else dfa
@@ -261,6 +264,32 @@ def test_language_agrees_matches_the_recursive_reference(dfa, other, pick, flip,
     def pred(w):
         return accepts(lang, w) != (pick == "flip" and list(w) == flip)
 
+    return dfa, pred, draw(st.integers(0, 4))
+
+
+# the languages of the benchmark's recheck agrees jobs
+RECHECK_AGREES = [
+    builtin_single("poly-ring", 3),
+    builtin_single("window-squares", 3),
+    builtin_single("gap", None),
+    builtin_pair("segre", "window-squares", 1, "poly-ring", 1),
+    builtin_pair("concat", "gap", None, "poly-ring", 1),
+]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(agrees_cases())
+@example((RECHECK_AGREES[0].dfa, RECHECK_AGREES[0].predicate, 8))
+@example((RECHECK_AGREES[1].dfa, RECHECK_AGREES[1].predicate, 8))
+@example((RECHECK_AGREES[2].dfa, RECHECK_AGREES[2].predicate, 8))
+@example((RECHECK_AGREES[3].dfa, RECHECK_AGREES[3].predicate, 8))
+@example((RECHECK_AGREES[4].dfa, RECHECK_AGREES[4].predicate, 8))
+def test_language_agrees_matches_the_recursive_reference(case):
+    """The walk gives the reference's (ok, counterexample, words checked) on
+    random partial DFAs and on the built-in languages at length 8.  The walk
+    hands the predicate its one live word list, the reference a fresh list
+    per word; a predicate must neither keep nor change the list it gets."""
+    dfa, pred, maxlen = case
     assert language_agrees(dfa, pred, maxlen) == productref.language_agrees(dfa, pred, maxlen)
 
 

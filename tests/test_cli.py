@@ -43,6 +43,20 @@ def test_series_window_squares_flags_alt():
     assert "alt automaton" in res.output
     assert res.output.count("[DIFFERS]") == 2
     assert "note:" in res.output
+    # each differing form is followed by its first differing coefficient
+    lines = res.output.splitlines()
+    for label, witness in (
+            ("alt closed form", "first difference at t^1 s^0: transfer 3 against form 2"),
+            ("alt automaton", "first difference at t^1 s^1: transfer 6 against form 5")):
+        at = next(i for i, line in enumerate(lines) if line.startswith("  %s " % label))
+        assert lines[at + 1] == "    " + witness
+    data = json.loads(run("series", "window-squares", "--c", "2", "--format", "json").output)
+    results = data["results"]
+    assert results["alt closed form"]["witness"] == (
+        "first difference at t^1 s^0: transfer 3 against form 2")
+    assert results["alt automaton"]["witness"] == (
+        "first difference at t^1 s^1: transfer 6 against form 5")
+    assert "witness" not in results["closed form"]
 
 
 def test_series_ideal_gap_reports_mismatch():
@@ -50,8 +64,11 @@ def test_series_ideal_gap_reports_mismatch():
     assert res.exit_code == 0
     assert "rat_equal: False" in res.output
     assert "MISMATCH" in res.output
+    witness = "first difference at t^0 s^1: computed 0 against stated 1"
+    assert res.output.splitlines()[-1] == "    " + witness
     data = json.loads(run("series", "ideal-gap", "--format", "json").output)
     assert data["results"]["equal"] is False
+    assert data["results"]["witness"] == witness
 
 
 def test_series_ideal_gap_rejects_table_options():
@@ -378,6 +395,8 @@ def test_toric_inputs_name_real_variables():
     ("series gap --expand 3", "--expand needs 2 bounds for gap"),
     ("series gap --format csv", "csv output needs --expand"),
     ("toric fibers --map gap --n 3", "need --target or --degree"),
+    ("toric fibers --map gap --n 5 --degree 3 --target x1*x2",
+     "--target and --degree cannot both be given"),
     ("toric reduce --moves nope --binomial 'x[1,2]*x[3,4] - x[1,3]*x[2,4]'",
      "unknown move set 'nope'"),
     ("toric reduce --binomial 'x[1,2]'", "binomial must look like 'mono - mono'"),

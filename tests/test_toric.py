@@ -6,7 +6,7 @@ import tracemalloc
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from equihilb.monoracle import edge_spans, mono_freeze, mono_str, multiset
 from equihilb.toric import (
@@ -24,11 +24,13 @@ from equihilb.toric import (
     image_targets,
     enumerate_fiber,
     shifts_within,
+    move_sides,
     fiber_report,
     reduce_binomial,
     gen_degree_stats,
     minimal_generator_degrees,
 )
+import productref
 from productref import shifts_in_window
 
 GAP = edge_spans("gap", None)
@@ -363,6 +365,64 @@ def test_fiber_report_quadrics():
                        use_shifts=False)
     assert rep["fiber_size"] == 2  # (1,1)(2,2) and (1,2)^2
     assert rep["connected"]
+
+
+# the kernel family up to degree 5 (g2, g(), g(1)) as labelled moves
+GENS = [("g2", g2())] + [(g.label(), g.binomial()) for g in build_gen_family(max_degree=5)]
+
+
+@st.composite
+def move_cases(draw):
+    """A small gap or window-squares (c <= 2) target, a list of moves from
+    the kernel family and the map's quadrics (all in order, all in any
+    order, or some with repeats), shifts on or off, and a kernel
+    binomial between two members of the target's fiber (None for a fiber
+    of one)."""
+    kind, c = draw(st.sampled_from([("gap", None)] + [("window-squares", c) for c in range(3)]))
+    n = draw(st.integers(1, 5))
+    target = draw(st.sampled_from(image_targets(edge_spans(kind, c), n, draw(st.integers(1, 4)))))
+    pool = GENS
+    if kind != "gap":
+        pool = pool + [("q%d" % i, b) for i, b in enumerate(quadric_family(c, n))]
+    moves = draw(st.just(pool) | st.permutations(pool) | st.lists(st.sampled_from(pool), max_size=8))
+    fiber = enumerate_fiber(edge_spans(kind, c), n, target)
+    h = None
+    if len(fiber) > 1:
+        i, j = draw(st.lists(st.integers(0, len(fiber) - 1), min_size=2, max_size=2, unique=True))
+        h = Binomial(dict(fiber[i]), dict(fiber[j]))
+    return kind, c, n, target, moves, draw(st.booleans()), h
+
+
+BASE_TARGET = presentation_image(dict(GenElement.base().binomial().u))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(move_cases())
+@example(("gap", None, 7, BASE_TARGET, GENS, True, GenElement.base().binomial()))
+@example(("window-squares", 2, 5, {1: 1, 2: 1, 3: 2, 4: 1, 5: 1},
+          [("q%d" % i, b) for i, b in enumerate(quadric_family(2, 5))], False, None))
+def test_move_sides_keep_the_reports_and_the_reductions(case):
+    """fiber_report and reduce_binomial, which read their moves from
+    move_sides, give what the nested move, shift and direction loops of
+    the reference give: the same report, moves_used included, and the same
+    remainder, side for side."""
+    kind, c, n, target, moves, use_shifts, h = case
+    assert (fiber_report(kind, c, n, target, moves, use_shifts=use_shifts)
+            == productref.fiber_report(kind, c, n, target, moves, use_shifts=use_shifts))
+    if h is not None:
+        got, want = reduce_binomial(h, moves), productref.reduce_binomial(h, moves)
+        assert (got.u, got.v) == (want.u, want.v)
+
+
+def test_move_sides_order():
+    b = Binomial({(1, 2): 1, (3, 4): 1}, {(1, 3): 1, (2, 4): 1})
+    assert list(move_sides([("a", b)], None)) == [("a", b.u, b.v), ("a", b.v, b.u)]
+    shifted = [(label, u) for label, u, _ in move_sides([("a", b), ("b", b)], (2, 6))]
+    assert shifted == [("a+1", b.shifted(1).u), ("a+1", b.shifted(1).v),
+                       ("a+2", b.shifted(2).u), ("a+2", b.shifted(2).v),
+                       ("b+1", b.shifted(1).u), ("b+1", b.shifted(1).v),
+                       ("b+2", b.shifted(2).u), ("b+2", b.shifted(2).v)]
+    assert list(move_sides([("a", b)], (1, 3))) == []
 
 
 def gap_string_monomials(n, dmax):
