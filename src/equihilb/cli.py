@@ -240,6 +240,8 @@ def compare(ctx, family, c, conv, dmax, nmax, strict, unsafe, fmt):
     """Compare language counts against the brute-force monomial oracle."""
     _cap(ctx, c, "--c")
     _cap(ctx, dmax, "--dmax")
+    if nmax < 1:
+        raise click.UsageError("--nmax=%d must be at least 1: windows start at 1" % nmax)
     _cap(ctx, nmax, "--nmax")
     lang = _build_language(family, c, None, None, None, None, False)
     fam = GeneratorFamily(family, 2 if c is None else c)

@@ -179,23 +179,26 @@ def word_monomial_maps(lang, family, n, d, conv=STRING_BOUNDED):
     # stand for, so they pair with the family's letters by position
     values = dict(zip(lang.alphabet.on(0), family.letters, strict=True))
     words = enumerate_words(lang.dfa, (d, n - 1))
-    first_word = {}
+    # each image's first word, under the oracle's own monomial or in extra
+    target = dict.fromkeys(family.enumerate_monomials(n, d, conv))
+    extra = {}
     collision = None
     for w in words:
         img = mono_freeze(word_to_monomial(family, w, tau, values))
-        if collision is None and img in first_word:
-            collision = (first_word[img], w, img)
-        first_word.setdefault(img, w)
-    image_set = set(first_word)
-    target = family.enumerate_monomials(n, d, conv)
+        seen = target if img in target else extra
+        if seen.get(img) is None:
+            seen[img] = w
+        elif collision is None:
+            collision = (seen[img], w, img)
+    missing = sorted(img for img, w in target.items() if w is None)
     return {
         "word_count": len(words),
-        "distinct_images": len(image_set),
+        "distinct_images": len(target) - len(missing) + len(extra),
         "monomial_count": len(target),
         "collision": collision,
-        "bijective": len(image_set) == len(words) and image_set == target,
-        "missing": sorted(target - image_set),
-        "extra": sorted(image_set - target),
+        "bijective": len(target) == len(words) and not missing and not extra,
+        "missing": missing,
+        "extra": sorted(extra),
     }
 
 

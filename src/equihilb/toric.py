@@ -398,11 +398,13 @@ def minimal_generator_degrees(kind, c, n, dmax):
     An image's least vertex is the start of its multisets' first edge, and
     the multisets come in lex order, so the fibers of one start vertex are
     dropped when its block ends.  A fiber is keyed by its packed image and
-    held as its first multiset's edges; its edge union-find is built on a
-    second multiset, adding one per new edge and taking one per union.
+    holds its components as disjoint bitmasks of window edges, one int until
+    it splits and then a list; a multiset that meets k of them joins them,
+    so the count gains 1 - k.
     """
     spans = edge_spans(kind, c)
     top = n + max(spans, default=0)
+    bit = {e: 1 << k for k, e in enumerate(window_edges(spans, n))}
     out = {}
     for d in range(2, dmax + 1):
         # exponents of a degree-d image are at most 2d, so base 2d + 1 packs it
@@ -414,23 +416,16 @@ def minimal_generator_degrees(kind, c, n, dmax):
             if i != start:
                 start, fibers = i, {}
             key = sum([e * powers[v] for v, e in img.items()])
-            parent = fibers.get(key)
-            if parent is None:
-                fibers[key] = tuple(m)
-                continue
-            if type(parent) is tuple:
-                parent = fibers[key] = dict.fromkeys(parent, parent[0])
-            root = None
-            for e in m:
-                if e in parent:
-                    r = _root(parent, e)
-                else:
-                    parent[e] = r = e
-                    surplus += 1
-                if root is None:
-                    root = r
-                elif r != root:
-                    parent[r] = root
-                    surplus -= 1
+            mask = sum(map(bit.__getitem__, m))
+            comps = fibers.get(key, 0)
+            if type(comps) is int:
+                if not comps or comps & mask:
+                    fibers[key] = comps | mask
+                    continue
+                comps = [comps]
+            # the components are disjoint, so those met sum to their union
+            rest = [x for x in comps if not x & mask]
+            fibers[key] = rest + [sum(comps) - sum(rest) | mask]
+            surplus += len(rest) + 1 - len(comps)
         out[d] = surplus
     return out

@@ -27,14 +27,26 @@ shifts and directions that each of them spelled out before, and
 explicit stack.  `normal_strings` and `language_agrees` keep the recursive
 walks they replaced, which hold one Python frame per letter.
 
+`monoracle.word_monomial_maps` keys each image by the oracle's own frozen
+monomial and keeps images outside them apart.  `word_monomial_maps` keeps
+the body it replaced: a dict from every image to its first word, a set of
+the images, and set differences against the oracle's monomials.
+
 `segre_counts` and `tensor_counts` give the count tables that the Segre and
 concatenation products of two languages must have, from the factors' tables;
 `TSS` is the variable set of a two-class series.
 """
 
-from equihilb.automata import Alphabet, Dfa, minimize
+from equihilb.automata import Alphabet, Dfa, enumerate_words, minimize
 from equihilb.exactalg import CountTable
-from equihilb.monoracle import edge_spans, mono_freeze, mono_str, window_edges
+from equihilb.monoracle import (
+    STRING_BOUNDED,
+    edge_spans,
+    mono_freeze,
+    mono_str,
+    window_edges,
+    word_to_monomial,
+)
 from equihilb.toric import Binomial, _root, apply_move, enumerate_fiber, shifts_within
 
 TSS = ("t", "s1", "s2")
@@ -320,6 +332,32 @@ def language_agrees(dfa, predicate, maxlen):
         return False, (), 1
     bad = rec([], dfa.start, root_pred)
     return bad is None, bad, checked
+
+
+def word_monomial_maps(lang, family, n, d, conv=STRING_BOUNDED):
+    """The seven keys of the word -> monomial map report, from a map of
+    every image to its first word and a set of the images."""
+    tau = lang.alphabet.on(1)[0]
+    values = dict(zip(lang.alphabet.on(0), family.letters, strict=True))
+    words = enumerate_words(lang.dfa, (d, n - 1))
+    first_word = {}
+    collision = None
+    for w in words:
+        img = mono_freeze(word_to_monomial(family, w, tau, values))
+        if collision is None and img in first_word:
+            collision = (first_word[img], w, img)
+        first_word.setdefault(img, w)
+    image_set = set(first_word)
+    target = family.enumerate_monomials(n, d, conv)
+    return {
+        "word_count": len(words),
+        "distinct_images": len(image_set),
+        "monomial_count": len(target),
+        "collision": collision,
+        "bijective": len(image_set) == len(words) and image_set == target,
+        "missing": sorted(target - image_set),
+        "extra": sorted(image_set - target),
+    }
 
 
 def segre_counts(table_a, table_b):

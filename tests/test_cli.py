@@ -402,6 +402,8 @@ def test_toric_inputs_name_real_variables():
     ("toric reduce --binomial 'x[1,2]'", "binomial must look like 'mono - mono'"),
     ("toric reduce --binomial 'x[1,2]*y1 - x[1,2]'", "bad edge monomial 'y1'"),
     ("toric fibers --map gap --n 3 --target 'x[1,2]'", "bad x-monomial 'x[1,2]'"),
+    ("compare gap --nmax 0 --strict", "--nmax=0 must be at least 1: windows start at 1"),
+    ("compare gap --nmax -2", "--nmax=-2 must be at least 1: windows start at 1"),
 ])
 def test_malformed_input_is_a_usage_error(command, message):
     res = run(*shlex.split(command))

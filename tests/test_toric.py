@@ -518,10 +518,10 @@ def test_minimal_generator_degrees_memory():
     finally:
         tracemalloc.stop()
     assert got == {2: 6, 3: 0, 4: 3, 5: 1}
-    # only the fibers of one start vertex are alive at a time: about 1.0 MB,
-    # against 2.2 MB when every fiber of a degree is kept as a tuple of
-    # edges and 7.2 MB when each keeps a union-find dict
-    assert peak < 1_500_000, peak
+    # only the fibers of one start vertex are alive at a time, each held as
+    # edge bitmasks: about 0.46 MB, against 1.02 MB when a fiber that has
+    # met a second multiset keeps a union-find dict of its edges
+    assert peak < 700_000, peak
 
 
 def test_gen_degree_stats():
