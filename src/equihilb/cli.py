@@ -49,6 +49,8 @@ FIBER_MULTISETS_CAP = 10_000
 # compare's oracle enumerates the generator multisets of degree dmax in
 # window nmax; dmax = nmax = 10 makes about 2 * 10^7 of them for gap
 COMPARE_MULTISETS_CAP = 100_000
+# the map whose kernel holds each move set of toric fibers and reduce
+MOVE_MAPS = {"gens": "gap", "quadrics": "window-squares", "none": None}
 SINGLES = ("poly-ring", "window-squares", "gap")
 PAIRS = ("segre", "concat")
 
@@ -66,8 +68,12 @@ def _cap(ctx, value, what):
     return value
 
 
-def _cap_sizes(ctx, c, a_c, b_c):
-    for value, what in ((c, "--c"), (a_c, "--a-c"), (b_c, "--b-c")):
+def _sizes(ctx, *names):
+    """_cap each named size parameter as --name; a window (n, nmax) starts at 1."""
+    for name in names:
+        value, what = ctx.params[name], "--" + name.replace("_", "-")
+        if name in ("n", "nmax") and value < 1:
+            raise click.UsageError("%s=%d must be at least 1: windows start at 1" % (what, value))
         _cap(ctx, value, what)
 
 
@@ -108,6 +114,18 @@ def main():
     """Equivariant Hilbert series of shift-invariant monomial algebras."""
 
 
+def _language_params():
+    """Selector and language options of series and export; new per command, as click extends it."""
+    return [
+        click.Argument(["selector"]),
+        click.Option(["--c"], type=int, default=None, help="bandwidth for poly-ring / window-squares"),
+        click.Option(["--a"], default="poly-ring", help="first factor for segre/concat"),
+        click.Option(["--a-c"], type=int, default=1),
+        click.Option(["--b"], default="poly-ring", help="second factor for segre/concat"),
+        click.Option(["--b-c"], type=int, default=1),
+    ]
+
+
 def _build_language(selector, c, a, a_c, b, b_c, checked):
     if selector not in SINGLES + PAIRS:
         raise click.UsageError("unknown selector %r" % selector)
@@ -125,13 +143,7 @@ def _build_language(selector, c, a, a_c, b, b_c, checked):
     return lang
 
 
-@main.command()
-@click.argument("selector")
-@click.option("--c", type=int, default=None, help="bandwidth for poly-ring / window-squares")
-@click.option("--a", default="poly-ring", help="first factor for segre/concat")
-@click.option("--a-c", type=int, default=1)
-@click.option("--b", default="poly-ring", help="second factor for segre/concat")
-@click.option("--b-c", type=int, default=1)
+@main.command(params=_language_params())
 @click.option("--expand", default=None, help="comma-separated coefficient bounds")
 @click.option("--checked", is_flag=True, help="verify predicate against automaton first")
 @click.option("--unsafe", is_flag=True)
@@ -162,7 +174,7 @@ def series(ctx, selector, c, a, a_c, b, b_c, expand, checked, unsafe, fmt):
                       "    " + results["witness"]]
         _emit(fmt, "series", {"selector": selector}, results, lines)
         return
-    _cap_sizes(ctx, c, a_c, b_c)
+    _sizes(ctx, "c", "a_c", "b_c")
     lang = _build_language(selector, c, a, a_c, b, b_c, checked)
     ser = lang.series()
     results = {"series": ratfun_to_text(ser)}
@@ -238,13 +250,9 @@ def _witness(lang, fam, report, conv):
 @click.pass_context
 def compare(ctx, family, c, conv, dmax, nmax, strict, unsafe, fmt):
     """Compare language counts against the brute-force monomial oracle."""
-    _cap(ctx, c, "--c")
-    _cap(ctx, dmax, "--dmax")
-    if nmax < 1:
-        raise click.UsageError("--nmax=%d must be at least 1: windows start at 1" % nmax)
-    _cap(ctx, nmax, "--nmax")
+    _sizes(ctx, "c", "dmax", "nmax")
     lang = _build_language(family, c, None, None, None, None, False)
-    fam = GeneratorFamily(family, 2 if c is None else c)
+    fam = GeneratorFamily(*lang.family)
     _cap_multisets(ctx, len(fam.generators(nmax)), "generator", dmax, COMPARE_MULTISETS_CAP)
     report = compare_report(lang, fam, nmax, dmax, conv)
     lines = ["%s vs %r, convention %s:" % (lang.name, fam, conv)]
@@ -285,7 +293,7 @@ def toric():
 @click.pass_context
 def gens(ctx, dmax, unsafe, fmt):
     """List the kernel generator family up to a degree."""
-    _cap(ctx, dmax, "--dmax")
+    _sizes(ctx, "dmax")
     items = [("g2", g2(), True)] + [
         (g.label(), g.binomial(), g.structure_check()) for g in build_gen_family(max_degree=dmax)
     ]
@@ -313,7 +321,8 @@ def gens(ctx, dmax, unsafe, fmt):
 MONO_RE = re.compile(r"x\[(\d+),(\d+)\](?:\^(\d+))?|x(\d+)(?:\^(\d+))?")
 
 
-def parse_edge_monomial(text):
+def parse_edge_monomial(text, spans):
+    """Edge exponents of a monomial; given spans, each edge x[i,j] has j - i in them."""
     out = {}
     text = text.strip()
     if text == "1":
@@ -323,14 +332,16 @@ def parse_edge_monomial(text):
         m = MONO_RE.fullmatch(part)
         if not m or m.group(4) is not None:
             raise click.UsageError("bad edge monomial %r" % part)
-        e = (int(m.group(1)), int(m.group(2)))
-        if not 1 <= e[0] <= e[1]:
-            raise click.UsageError("edge variable %r needs 1 <= i <= j in x[i,j]" % part)
-        out[e] = out.get(e, 0) + int(m.group(3) or 1)
+        i, j = int(m.group(1)), int(m.group(2))
+        if not 1 <= i <= j or spans is not None and j - i not in spans:
+            raise click.UsageError("edge variable %r needs 1 <= i <= j in x[i,j]%s" % (
+                part, "" if spans is None else " and j - i in %s" % list(spans)))
+        out[i, j] = out.get((i, j), 0) + int(m.group(3) or 1)
     return out
 
 
-def parse_x_monomial(text):
+def parse_x_monomial(text, top):
+    """Exponents of a monomial in the x1..x{top}, without zero exponents."""
     out = {}
     for part in text.strip().split("*"):
         part = part.strip()
@@ -338,28 +349,34 @@ def parse_x_monomial(text):
         if not m or m.group(4) is None:
             raise click.UsageError("bad x-monomial %r" % part)
         v = int(m.group(4))
-        if v < 1:
-            raise click.UsageError("x-variable %r needs an index of at least 1" % part)
+        if not 1 <= v <= top:
+            raise click.UsageError("x-variable %r needs an index of at least 1 and at most %d,"
+                                   " the window's last vertex" % (part, top))
         out[v] = out.get(v, 0) + int(m.group(5) or 1)
     return {v: e for v, e in out.items() if e}
 
 
-def parse_binomial(text):
+def parse_binomial(text, spans):
     depth_split = text.split(" - ")
     if len(depth_split) != 2:
         raise click.UsageError("binomial must look like 'mono - mono'")
-    return Binomial(parse_edge_monomial(depth_split[0]), parse_edge_monomial(depth_split[1]))
+    return Binomial(*(parse_edge_monomial(side, spans) for side in depth_split))
+
+
+def _move_map(name):
+    """The map whose kernel holds the move set; none has no map."""
+    if name not in MOVE_MAPS:
+        raise click.UsageError("unknown move set %r" % name)
+    return MOVE_MAPS[name]
 
 
 def _move_set(name, c, n, degree):
-    if name == "none":
+    if _move_map(name) is None:
         return []
     if name == "quadrics":
         return [("q%d" % i, b) for i, b in enumerate(quadric_family(c, n))]
-    if name == "gens":
-        fam = build_gen_family(max_degree=degree)
-        return [("g2", g2())] + [(g.label(), g.binomial()) for g in fam]
-    raise click.UsageError("unknown move set %r" % name)
+    fam = build_gen_family(max_degree=degree)
+    return [("g2", g2())] + [(g.label(), g.binomial()) for g in fam]
 
 
 @toric.command()
@@ -375,20 +392,18 @@ def _move_set(name, c, n, degree):
 @click.pass_context
 def fibers(ctx, kind, c, n, degree, target, moves, exclude, unsafe, fmt):
     """Fiber-graph connectivity reports."""
-    _cap(ctx, c, "--c")
-    _cap(ctx, n, "--n")
-    _cap(ctx, degree, "--degree")
+    _sizes(ctx, "c", "n", "degree")
     if moves is None:
-        moves = "gens" if kind == "gap" else "quadrics"
+        moves = next(m for m in MOVE_MAPS if MOVE_MAPS[m] == kind)
     if target is None and degree is None:
         raise click.UsageError("need --target or --degree")
     if target is not None and degree is not None:
         raise click.UsageError("--target and --degree cannot both be given")
     edge_degree = degree
-    if target is not None:
-        tgt = parse_x_monomial(target)
-        edge_degree = _cap(ctx, (sum(tgt.values()) + 1) // 2, "target degree")
     spans = edge_spans(kind, c)
+    if target is not None:
+        tgt = parse_x_monomial(target, n + max(spans))
+        edge_degree = _cap(ctx, (sum(tgt.values()) + 1) // 2, "target degree")
     _cap_multisets(
         ctx, len(window_edges(spans, n)), "window edge", edge_degree, FIBER_MULTISETS_CAP
     )
@@ -430,9 +445,13 @@ def fibers(ctx, kind, c, n, degree, target, moves, exclude, unsafe, fmt):
 @click.pass_context
 def reduce(ctx, binomial_text, moves, c, n, unsafe, fmt):
     """Reduce a kernel binomial by a move set; report zero or the remainder."""
-    _cap(ctx, c, "--c")
-    _cap(ctx, n, "--n")
-    h = parse_binomial(binomial_text)
+    _sizes(ctx, "c", "n")
+    kind = _move_map(moves)
+    h = parse_binomial(binomial_text, kind and edge_spans(kind, c))
+    # the quadrics shift along h, so h must fit in the n + c vertices of window n
+    if kind == "window-squares" and h.max_vertex() - h.min_vertex() >= n + c:
+        raise click.UsageError("binomial on x%d..x%d exceeds the %d vertices of window %d"
+                               % (h.min_vertex(), h.max_vertex(), n + c, n))
     if not kernel_test(h):
         raise click.UsageError("not a kernel binomial: %s" % binomial_str(h))
     move_list = _move_set(moves, c, n, _cap(ctx, h.degree(), "binomial degree"))
@@ -476,18 +495,12 @@ def degree_stats(nmin, nmax, fmt):
     _emit(fmt, "toric degree-stats", {"nmin": nmin, "nmax": nmax}, rows, lines)
 
 
-@main.command()
-@click.argument("selector")
-@click.option("--c", type=int, default=None)
-@click.option("--a", default="poly-ring")
-@click.option("--a-c", type=int, default=1)
-@click.option("--b", default="poly-ring")
-@click.option("--b-c", type=int, default=1)
+@main.command(params=_language_params())
 @click.option("--what", type=click.Choice(["dfa", "alt-dfa"]), default="dfa")
 @click.pass_context
 def export(ctx, selector, c, a, a_c, b, b_c, what):
     """Emit the automaton of a built-in language as DOT."""
-    _cap_sizes(ctx, c, a_c, b_c)
+    _sizes(ctx, "c", "a_c", "b_c")
     lang = _build_language(selector, c, a, a_c, b, b_c, False)
     dfa = lang.dfa if what == "dfa" else lang.alt_dfa
     if dfa is None:

@@ -190,7 +190,7 @@ class GenElement:
 
 
 def build_gen_family(max_degree=None, max_span=None):
-    """g2 plus every recursive element within the given degree/span budget."""
+    """The recursive elements from g() on, by degree, within the degree/span budget; not g2."""
     base = GenElement.base()
     out = []
     frontier = [base]

@@ -304,7 +304,7 @@ def test_toric_fibers_target():
 
 def test_toric_fibers_target_drops_zero_exponents():
     # x1^0 names no factor: the target, and so its vertex span, starts at x2
-    assert cli.parse_x_monomial("x1^0*x2^2") == {2: 2}
+    assert cli.parse_x_monomial("x1^0*x2^2", 4) == {2: 2}
     for target, shown in (("x1^0*x2^2", "x2^2"), ("x1^0", "1")):
         res = run("toric", "fibers", "--map", "window-squares", "--c", "1", "--n", "3",
                   "--target", target, "--format", "json")
@@ -376,6 +376,21 @@ def test_toric_reduce():
     res = run("toric", "reduce", "--binomial", "x[1,2] - x[1,3]")
     assert res.exit_code == 2
     assert "not a kernel binomial" in res.output
+    # no move set, no window: any edge x[i,j] with 1 <= i <= j may appear
+    res = run("toric", "reduce", "--moves", "none", "--binomial",
+              "x[1,1]*x[2,2] - x[1,2]^2", "--n", "1")
+    assert res.exit_code == 0
+    assert "reduced to zero: False" in res.output
+    # --n is the window the quadrics come from, and each move acts through
+    # its shifts along h: window 1 of window-squares(1) has no quadric, the
+    # quadric of window 2 reduces its shift by 4, and the gens, which no
+    # window bounds, reduce g2 shifted by 10
+    for args, zero in ((["x[1,1]*x[2,2] - x[1,2]^2", "--c", "1", "--n", "1"], False),
+                       (["x[5,5]*x[6,6] - x[5,6]^2", "--c", "1", "--n", "2"], True),
+                       (["x[11,12]*x[13,14] - x[11,13]*x[12,14]", "--moves", "gens"], True)):
+        res = run("toric", "reduce", "--binomial", *args)
+        assert res.exit_code == 0
+        assert "reduced to zero: %s" % zero in res.output
 
 
 def test_toric_inputs_name_real_variables():
@@ -404,11 +419,59 @@ def test_toric_inputs_name_real_variables():
     ("toric fibers --map gap --n 3 --target 'x[1,2]'", "bad x-monomial 'x[1,2]'"),
     ("compare gap --nmax 0 --strict", "--nmax=0 must be at least 1: windows start at 1"),
     ("compare gap --nmax -2", "--nmax=-2 must be at least 1: windows start at 1"),
+    ("toric fibers --map gap --n 0 --degree 2", "--n=0 must be at least 1: windows start at 1"),
+    ("toric fibers --map gap --n 0 --target x1*x2", "--n=0 must be at least 1: windows start at 1"),
+    ("toric reduce --binomial 'x[1,1]*x[2,2] - x[1,2]^2' --c 1 --n 0",
+     "--n=0 must be at least 1: windows start at 1"),
+    # every toric variable lies in the window: the gap edges of window 3
+    # reach x5; a reduced binomial takes only edges of its moves' map, and
+    # the quadrics, which shift along it, need it to fit in the n + c
+    # vertices of window n
+    ("toric fibers --map gap --n 3 --target x1*x100000",
+     "x-variable 'x100000' needs an index of at least 1 and at most 5"),
+    ("toric reduce --binomial 'x[1,100000]*x[2,3] - x[1,3]*x[2,100000]' --c 1 --n 4",
+     "edge variable 'x[1,100000]' needs 1 <= i <= j in x[i,j] and j - i in [0, 1]"),
+    ("toric reduce --moves gens --binomial 'x[1,1]*x[2,2] - x[1,2]^2' --n 4",
+     "edge variable 'x[1,1]' needs 1 <= i <= j in x[i,j] and j - i in [1, 2]"),
+    ("toric reduce --binomial 'x[1,1]*x[2,2]*x[99999,99999]*x[100000,100000]"
+     " - x[1,2]^2*x[99999,100000]^2' --c 1 --n 4",
+     "binomial on x1..x100000 exceeds the 5 vertices of window 4"),
 ])
 def test_malformed_input_is_a_usage_error(command, message):
     res = run(*shlex.split(command))
     assert res.exit_code == 2
     assert "Error: %s" % message in res.output
+
+
+NEGATIVE = "must not be negative"
+WINDOW = "must be at least 1: windows start at 1"
+
+
+@pytest.mark.parametrize("command, option, rule", [
+    ("series poly-ring --c -1", "--c", NEGATIVE),
+    ("series segre --a-c -1", "--a-c", NEGATIVE),
+    ("series concat --b-c -1", "--b-c", NEGATIVE),
+    ("series gap --expand 2,-1", "--expand", NEGATIVE),
+    ("export window-squares --c -1", "--c", NEGATIVE),
+    ("export segre --a-c -1", "--a-c", NEGATIVE),
+    ("export concat --b-c -1", "--b-c", NEGATIVE),
+    ("compare window-squares --c -1", "--c", NEGATIVE),
+    ("compare gap --dmax -1", "--dmax", NEGATIVE),
+    ("compare gap --nmax -1", "--nmax", WINDOW),
+    ("toric gens --dmax -1", "--dmax", NEGATIVE),
+    ("toric fibers --map window-squares --c -1 --n 3 --degree 2", "--c", NEGATIVE),
+    ("toric fibers --map gap --n -1 --degree 2", "--n", WINDOW),
+    ("toric fibers --map gap --n 3 --degree -1", "--degree", NEGATIVE),
+    ("toric reduce --binomial 'x[1,1]*x[2,2] - x[1,2]^2' --c -1", "--c", NEGATIVE),
+    ("toric reduce --binomial 'x[1,1]*x[2,2] - x[1,2]^2' --n -1", "--n", WINDOW),
+    # degree-stats sweeps from window 0, and keeps its own limits
+    ("toric degree-stats --nmin -1", "--nmin", NEGATIVE),
+    ("toric degree-stats --nmax -1", "--nmax", NEGATIVE),
+])
+def test_every_size_option_refuses_minus_one(command, option, rule):
+    res = run(*shlex.split(command))
+    assert res.exit_code == 2
+    assert res.output.splitlines()[-1] == "Error: %s=-1 %s" % (option, rule)
 
 
 def test_toric_degree_stats():
