@@ -41,7 +41,7 @@ from click.core import ParameterSource  # noqa: E402
 
 SAFE_CAP = 10
 # toric degree-stats builds the kernel family once, up to span nmax + 1, and
-# it grows exponentially: 23,832 elements and about 1.4 s at span 41
+# it grows exponentially: 23,832 elements and about 1.0 s at span 41
 DEGREE_STATS_MAX = 40
 # toric fibers enumerates the window's edge multisets of the target degree;
 # inputs each under SAFE_CAP can still make about 10^14 of them
@@ -49,10 +49,17 @@ FIBER_MULTISETS_CAP = 10_000
 # compare's oracle enumerates the generator multisets of degree dmax in
 # window nmax; dmax = nmax = 10 makes about 2 * 10^7 of them for gap
 COMPARE_MULTISETS_CAP = 100_000
+# toric reduce tries each move at every shift within the binomial's vertex
+# span; gens in x1..x100000 make about 2 * 10^5 such placements
+REDUCE_PLACEMENTS_CAP = 100_000
 # the map whose kernel holds each move set of toric fibers and reduce
 MOVE_MAPS = {"gens": "gap", "quadrics": "window-squares", "none": None}
 SINGLES = ("poly-ring", "window-squares", "gap")
 PAIRS = ("segre", "concat")
+LANGUAGE_OPTIONS = ("c", "a", "a_c", "b", "b_c")
+# the options each selector or map reads; no map (--moves none) reads none
+READS = {"poly-ring": ("c",), "window-squares": ("c",), "gap": (), None: (),
+         "segre": ("a", "a_c", "b", "b_c"), "concat": ("a", "a_c", "b", "b_c")}
 
 
 def _cap(ctx, value, what):
@@ -77,16 +84,28 @@ def _sizes(ctx, *names):
         _cap(ctx, value, what)
 
 
+def _refuse_unread(ctx, what, kinds, options):
+    """Refuse each of the options given, even at its default, that none of the
+    selectors or maps read, as '<what> takes no --option'; an unknown one
+    reads them all, for its own check to refuse."""
+    reads = {name for kind in kinds for name in READS.get(kind, options)}
+    for name in options:
+        if name not in reads and ctx.get_parameter_source(name) is not ParameterSource.DEFAULT:
+            raise click.UsageError("%s takes no --%s" % (what, name.replace("_", "-")))
+
+
+def _cap_count(ctx, count, cap, what):
+    """Refuse, unless --unsafe, a count over cap; what says what gives it."""
+    if count > cap and not ctx.params["unsafe"]:
+        raise click.UsageError("%s, over the safety cap %d; pass --unsafe to override" % (what, cap))
+
+
 def _cap_multisets(ctx, items, noun, degree, cap):
-    """Refuse, unless --unsafe, over cap multisets of the degree drawn from
-    items things, each a noun; the multisets take the noun's last word."""
+    """_cap_count the multisets of the degree drawn from items things, each a
+    noun; the multisets take the noun's last word."""
     multisets = math.comb(max(items + degree - 1, 0), degree)
-    if multisets > cap and not ctx.params["unsafe"]:
-        raise click.UsageError(
-            "%d %ss give %d %s multisets of degree %d, over the"
-            " safety cap %d; pass --unsafe to override"
-            % (items, noun, multisets, noun.split()[-1], degree, cap)
-        )
+    _cap_count(ctx, multisets, cap, "%d %ss give %d %s multisets of degree %d"
+               % (items, noun, multisets, noun.split()[-1], degree))
 
 
 def _emit(fmt, command, params, results, lines, **extra):
@@ -152,9 +171,7 @@ def _build_language(selector, c, a, a_c, b, b_c, checked):
 def series(ctx, selector, c, a, a_c, b, b_c, expand, checked, unsafe, fmt):
     """Print the equivariant Hilbert series of a built-in language."""
     if selector == "ideal-gap":
-        for name in ("c", "a", "a_c", "b", "b_c", "expand", "checked"):
-            if ctx.get_parameter_source(name) is not ParameterSource.DEFAULT:
-                raise click.UsageError("ideal-gap takes no --%s" % name.replace("_", "-"))
+        _refuse_unread(ctx, selector, [], LANGUAGE_OPTIONS + ("expand", "checked"))
         if fmt == "csv":
             raise click.UsageError("csv output needs --expand, which ideal-gap does not take")
         computed, stated = ideal_gap_series()
@@ -174,6 +191,7 @@ def series(ctx, selector, c, a, a_c, b, b_c, expand, checked, unsafe, fmt):
                       "    " + results["witness"]]
         _emit(fmt, "series", {"selector": selector}, results, lines)
         return
+    _refuse_unread(ctx, selector, [selector], LANGUAGE_OPTIONS)
     _sizes(ctx, "c", "a_c", "b_c")
     lang = _build_language(selector, c, a, a_c, b, b_c, checked)
     ser = lang.series()
@@ -250,6 +268,7 @@ def _witness(lang, fam, report, conv):
 @click.pass_context
 def compare(ctx, family, c, conv, dmax, nmax, strict, unsafe, fmt):
     """Compare language counts against the brute-force monomial oracle."""
+    _refuse_unread(ctx, family, [family], ["c"])
     _sizes(ctx, "c", "dmax", "nmax")
     lang = _build_language(family, c, None, None, None, None, False)
     fam = GeneratorFamily(*lang.family)
@@ -392,9 +411,10 @@ def _move_set(name, c, n, degree):
 @click.pass_context
 def fibers(ctx, kind, c, n, degree, target, moves, exclude, unsafe, fmt):
     """Fiber-graph connectivity reports."""
-    _sizes(ctx, "c", "n", "degree")
     if moves is None:
         moves = next(m for m in MOVE_MAPS if MOVE_MAPS[m] == kind)
+    _refuse_unread(ctx, "map %s with move set %s" % (kind, moves), [kind, _move_map(moves)], ["c"])
+    _sizes(ctx, "c", "n", "degree")
     if target is None and degree is None:
         raise click.UsageError("need --target or --degree")
     if target is not None and degree is not None:
@@ -445,8 +465,9 @@ def fibers(ctx, kind, c, n, degree, target, moves, exclude, unsafe, fmt):
 @click.pass_context
 def reduce(ctx, binomial_text, moves, c, n, unsafe, fmt):
     """Reduce a kernel binomial by a move set; report zero or the remainder."""
-    _sizes(ctx, "c", "n")
     kind = _move_map(moves)
+    _refuse_unread(ctx, "move set %s" % moves, [kind], ["c"])
+    _sizes(ctx, "c", "n")
     h = parse_binomial(binomial_text, kind and edge_spans(kind, c))
     # the quadrics shift along h, so h must fit in the n + c vertices of window n
     if kind == "window-squares" and h.max_vertex() - h.min_vertex() >= n + c:
@@ -455,6 +476,11 @@ def reduce(ctx, binomial_text, moves, c, n, unsafe, fmt):
     if not kernel_test(h):
         raise click.UsageError("not a kernel binomial: %s" % binomial_str(h))
     move_list = _move_set(moves, c, n, _cap(ctx, h.degree(), "binomial degree"))
+    # a move of vertex width w has max(0, W - w + 1) shifts in h's width W
+    lo, hi = h.min_vertex(), h.max_vertex()
+    placements = sum(max(0, hi - lo - b.max_vertex() + b.min_vertex() + 1) for _, b in move_list)
+    _cap_count(ctx, placements, REDUCE_PLACEMENTS_CAP, "%d moves give %d placements on x%d..x%d"
+               % (len(move_list), placements, lo, hi))
     out = reduce_binomial(h, move_list)
     lines = [
         "input:     %s" % binomial_str(h),
@@ -500,6 +526,7 @@ def degree_stats(nmin, nmax, fmt):
 @click.pass_context
 def export(ctx, selector, c, a, a_c, b, b_c, what):
     """Emit the automaton of a built-in language as DOT."""
+    _refuse_unread(ctx, selector, [selector], LANGUAGE_OPTIONS)
     _sizes(ctx, "c", "a_c", "b_c")
     lang = _build_language(selector, c, a, a_c, b, b_c, False)
     dfa = lang.dfa if what == "dfa" else lang.alt_dfa

@@ -23,6 +23,7 @@ class FiltrationLanguage:
         alt_dfa=None,
         reference_series=(),
         notes="",
+        family=None,
     ):
         self.name = name
         self.alphabet = dfa.alphabet
@@ -31,11 +32,11 @@ class FiltrationLanguage:
         self.alt_dfa = alt_dfa
         self.reference_series = list(reference_series)
         self.notes = notes
+        # (kind, c) of the GeneratorFamily a built-in single language stands
+        # for; pair languages have none
+        self.family = family
         self.weights = WeightFn(self.alphabet)
         self.vars = self.weights.vars
-        # (kind, c) of the GeneratorFamily a built-in single language stands
-        # for; its builder sets it, and pair languages keep None
-        self.family = None
         self._transfer = None
 
     def check(self, maxlen):
@@ -98,14 +99,13 @@ def lang_poly_ring(c, tau="tau", alpha="a"):
     t = MPoly.var(TS, "t")
     s = MPoly.var(TS, "s")
     closed = RatFun(MPoly.const(TS, 1), (1 - t) ** c - s)
-    lang = FiltrationLanguage(
+    return FiltrationLanguage(
         "poly-ring(%d)" % c,
         dfa,
         predicate,
         reference_series=[("closed form", closed)],
+        family=("poly-ring", c),
     )
-    lang.family = ("poly-ring", c)
-    return lang
 
 
 def lang_window_squares(c, tau="tau", alpha="a"):
@@ -155,7 +155,7 @@ def lang_window_squares(c, tau="tau", alpha="a"):
         ramp = ramp + (c - e) * s**e
     closed = RatFun(1 + t * ramp, 1 - t - s - t * geom)
     alt_closed = RatFun(c * t + 1, 1 - s - t * geom)
-    lang = FiltrationLanguage(
+    return FiltrationLanguage(
         "window-squares(%d)" % c,
         dfa,
         predicate,
@@ -166,9 +166,8 @@ def lang_window_squares(c, tau="tau", alpha="a"):
             "words ending inside a tau run.  The alt closed form drops the lone "
             "-t denominator term; its tau-free slice stops at degree one."
         ),
+        family=("window-squares", c),
     )
-    lang.family = ("window-squares", c)
-    return lang
 
 
 def lang_gap(tau="tau", alpha="a"):
@@ -211,14 +210,13 @@ def lang_gap(tau="tau", alpha="a"):
 
     t, s = MPoly.var(TS, "t"), MPoly.var(TS, "s")
     closed = RatFun(t * s + 1, 1 - 2 * t - s + t**2 + t * s - t**2 * s - t * s**2)
-    lang = FiltrationLanguage(
+    return FiltrationLanguage(
         "gap",
         dfa,
         predicate,
         reference_series=[("closed form", closed)],
+        family=("gap", None),
     )
-    lang.family = ("gap", None)
-    return lang
 
 
 def _reclass(alphabet, cls):

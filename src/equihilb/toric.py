@@ -3,7 +3,7 @@
 Edge variables x[i,j] map to x_i*x_j (`monoracle.presentation_image`), and
 a binomial lies in the kernel iff both sides have equal images.  A fiber,
 the edge monomials of one image, gives the kernel quadrics and the minimal
-generators.  Includes the recursive kernel family for the gap map, fiber
+generators.  Includes the kernel family for the gap map, fiber
 enumeration, fiber-graph connectivity and degree-reducing reduction.
 """
 
@@ -96,8 +96,8 @@ def g2():
 
 
 class GenElement:
-    """One member of the recursive kernel family for the gap map, reached from
-    the base element by a sequence of 1- and 2-steps."""
+    """One member g(s) of the kernel family for the gap map, for a sequence s
+    of 1- and 2-steps; the base element is g()."""
 
     __slots__ = ("s", "w")
 
@@ -106,19 +106,27 @@ class GenElement:
         self.w = dict(w)
 
     @classmethod
+    def of(cls, s):
+        """g(s) from its steps: the bottom triangle on 1, 2, 3, then a chain of
+        doubled edges of alternating sign from v = 3 along the steps (1,) + s,
+        a 1-step adding (v, v+2) and a 2-step (v, v+1) and (v+1, v+3), each
+        moving v on by step + 1, and the top triangle at the last v."""
+        w = {(1, 2): 1, (1, 3): -1, (2, 3): -1}
+        v, sign = 3, 1
+        for step in (1, *s):
+            if step not in (1, 2):
+                raise ValueError("step must be 1 or 2")
+            for a, b in [(0, 2)] if step == 1 else [(0, 1), (1, 3)]:
+                w[v + a, v + b] = 2 * sign
+                sign = -sign
+            v += step + 1
+        w[v, v + 1] = w[v, v + 2] = sign
+        w[v + 1, v + 2] = -sign
+        return cls(s, w)
+
+    @classmethod
     def base(cls):
-        return cls(
-            (),
-            {
-                (1, 2): 1,
-                (1, 3): -1,
-                (2, 3): -1,
-                (3, 5): 2,
-                (5, 6): -1,
-                (5, 7): -1,
-                (6, 7): 1,
-            },
-        )
+        return cls.of(())
 
     def label(self):
         return "g(%s)" % ",".join(str(x) for x in self.s)
@@ -134,29 +142,7 @@ class GenElement:
 
     def child(self, step):
         """Append a 1-step (span +2) or 2-step (span +3) to the sequence."""
-        k = self.span()
-        new = {}
-        for (i, j), w in self.w.items():
-            if i <= k - 4 and j <= k - 2:
-                new[(i, j)] = new.get((i, j), 0) + w
-        if step == 1:
-            w = self.w.get((k - 2, k))
-            if w:
-                new[(k - 2, k)] = new.get((k - 2, k), 0) + 2 * w
-            for (i, j), w in self.w.items():
-                if i + 2 >= k and j + 2 >= k + 1:
-                    new[(i + 2, j + 2)] = new.get((i + 2, j + 2), 0) - w
-        elif step == 2:
-            w = self.w.get((k - 2, k - 1))
-            if w:
-                new[(k - 2, k - 1)] = new.get((k - 2, k - 1), 0) + 2 * w
-                new[(k - 1, k + 1)] = new.get((k - 1, k + 1), 0) - 2 * w
-            for (i, j), w in self.w.items():
-                if i + 3 >= k + 1 and j + 3 >= k + 2:
-                    new[(i + 3, j + 3)] = new.get((i + 3, j + 3), 0) + w
-        else:
-            raise ValueError("step must be 1 or 2")
-        return GenElement(self.s + (step,), {e: w for e, w in new.items() if w})
+        return self.of(self.s + (step,))
 
     def structure_check(self):
         """Bottom triangle, alternating doubled chain, top triangle."""
@@ -190,7 +176,7 @@ class GenElement:
 
 
 def build_gen_family(max_degree=None, max_span=None):
-    """The recursive elements from g() on, by degree, within the degree/span budget; not g2."""
+    """The elements g(s) from g() on, by degree, within the degree/span budget; not g2."""
     base = GenElement.base()
     out = []
     frontier = [base]

@@ -12,6 +12,11 @@ breadth-first search.  `two_pass_minimize` keeps the two passes it
 replaced: an automaton on the blocks in arbitrary order, then a canonical
 renumbered copy of it.
 
+`toric.GenElement.of` writes the kernel family element g(s) down from its
+step sequence.  `RecursiveGenElement` keeps the recursion it replaced: each
+child copies its parent's edge weights, rewriting those at the top of the
+span, and `recursive_gen_family` walks it from the base element.
+
 `toric.shifts_within` takes the shifts of a move within a vertex span.
 `shifts_in_window` keeps the rule it replaced: every shift whose edges are
 all window edges.
@@ -47,7 +52,14 @@ from equihilb.monoracle import (
     window_edges,
     word_to_monomial,
 )
-from equihilb.toric import Binomial, _root, apply_move, enumerate_fiber, shifts_within
+from equihilb.toric import (
+    Binomial,
+    GenElement,
+    _root,
+    apply_move,
+    enumerate_fiber,
+    shifts_within,
+)
 
 TSS = ("t", "s1", "s2")
 
@@ -198,6 +210,64 @@ def two_pass_minimize(dfa):
                 trans[(b, sym)] = block[t]
     accepts = {b for b, q in reps.items() if q in dfa.accepts}
     return renumbered(Dfa(dfa.alphabet, len(reps), block[dfa.start], accepts, trans))
+
+
+class RecursiveGenElement(GenElement):
+    """A kernel family element built by rewriting its parent's edge weights."""
+
+    __slots__ = ()
+
+    @classmethod
+    def base(cls):
+        return cls(
+            (),
+            {
+                (1, 2): 1,
+                (1, 3): -1,
+                (2, 3): -1,
+                (3, 5): 2,
+                (5, 6): -1,
+                (5, 7): -1,
+                (6, 7): 1,
+            },
+        )
+
+    def child(self, step):
+        """Append a 1-step (span +2) or 2-step (span +3) to the sequence."""
+        k = self.span()
+        new = {}
+        for (i, j), w in self.w.items():
+            if i <= k - 4 and j <= k - 2:
+                new[(i, j)] = new.get((i, j), 0) + w
+        if step == 1:
+            w = self.w.get((k - 2, k))
+            if w:
+                new[(k - 2, k)] = new.get((k - 2, k), 0) + 2 * w
+            for (i, j), w in self.w.items():
+                if i + 2 >= k and j + 2 >= k + 1:
+                    new[(i + 2, j + 2)] = new.get((i + 2, j + 2), 0) - w
+        elif step == 2:
+            w = self.w.get((k - 2, k - 1))
+            if w:
+                new[(k - 2, k - 1)] = new.get((k - 2, k - 1), 0) + 2 * w
+                new[(k - 1, k + 1)] = new.get((k - 1, k + 1), 0) - 2 * w
+            for (i, j), w in self.w.items():
+                if i + 3 >= k + 1 and j + 3 >= k + 2:
+                    new[(i + 3, j + 3)] = new.get((i + 3, j + 3), 0) + w
+        else:
+            raise ValueError("step must be 1 or 2")
+        return RecursiveGenElement(self.s + (step,), {e: w for e, w in new.items() if w})
+
+
+def recursive_gen_family(max_span):
+    """Every element within the span, by the recursion from the base element,
+    in the order of its walk."""
+    out, frontier = [], [RecursiveGenElement.base()]
+    while frontier:
+        frontier = [g for g in frontier if g.span() <= max_span]
+        out += frontier
+        frontier = [g.child(step) for g in frontier for step in (1, 2)]
+    return out
 
 
 def shifts_in_window(b, spans, n):

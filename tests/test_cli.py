@@ -9,6 +9,7 @@ from click.testing import CliRunner
 
 from equihilb import cli
 from equihilb.cli import main
+from equihilb.toric import GenElement, g2, shifts_within
 
 
 def run(*args):
@@ -393,6 +394,34 @@ def test_toric_reduce():
         assert "reduced to zero: %s" % zero in res.output
 
 
+def test_options_a_family_reads_are_taken():
+    for args in (["toric", "fibers", "--map", "gap", "--moves", "quadrics", "--c", "1",
+                  "--n", "4", "--degree", "2"],
+                 ["toric", "fibers", "--map", "window-squares", "--moves", "gens", "--c", "1",
+                  "--n", "3", "--degree", "2"],
+                 ["series", "segre", "--a", "gap", "--a-c", "1", "--b", "poly-ring"],
+                 ["compare", "poly-ring", "--c", "1", "--dmax", "2", "--nmax", "2"]):
+        assert run(*args).exit_code == 0, args
+
+
+def test_toric_reduce_caps_the_move_placements(monkeypatch):
+    # g2 and g2 shifted by 10 span x1..x14: g2 has 11 shifts within it and
+    # g() 8, as shifts_within counts them
+    text = "x[1,2]*x[3,4]*x[11,12]*x[13,14] - x[1,3]*x[2,4]*x[11,13]*x[12,14]"
+    moves = [g2(), GenElement.base().binomial()]
+    assert sum(len(shifts_within(b, 1, 14)) for b in moves) == 19
+    for cap, unsafe, code in ((19, [], 0), (18, [], 2), (18, ["--unsafe"], 0)):
+        monkeypatch.setattr(cli, "REDUCE_PLACEMENTS_CAP", cap)
+        res = run("toric", "reduce", "--moves", "gens", "--binomial", text, *unsafe)
+        assert res.exit_code == code
+        if code:
+            assert res.output.splitlines()[-1] == (
+                "Error: 2 moves give 19 placements on x1..x14, over the safety cap 18;"
+                " pass --unsafe to override")
+        else:
+            assert "reduced to zero: True" in res.output
+
+
 def test_toric_inputs_name_real_variables():
     # x[2,1] would pass for x[1,2], and a zero index names no variable
     for text, bad in (("x[2,1] - x[1,2]", "'x[2,1]'"),
@@ -436,6 +465,31 @@ def test_toric_inputs_name_real_variables():
     ("toric reduce --binomial 'x[1,1]*x[2,2]*x[99999,99999]*x[100000,100000]"
      " - x[1,2]^2*x[99999,100000]^2' --c 1 --n 4",
      "binomial on x1..x100000 exceeds the 5 vertices of window 4"),
+
+    # an option the selector, map or move set never reads is refused, even
+    # at its default
+    ("compare gap --c 5 --dmax 3 --nmax 3 --format json", "gap takes no --c"),
+    ("compare gap --c 2", "gap takes no --c"),
+    ("series gap --c 7", "gap takes no --c"),
+    ("export segre --c 4", "segre takes no --c"),
+    ("series concat --c 2", "concat takes no --c"),
+    ("series poly-ring --a-c 5", "poly-ring takes no --a-c"),
+    ("series window-squares --a gap", "window-squares takes no --a"),
+    ("export gap --b poly-ring", "gap takes no --b"),
+    ("series gap --b-c 1", "gap takes no --b-c"),
+    ("toric fibers --map gap --c 9 --n 3 --degree 2 --format json",
+     "map gap with move set gens takes no --c"),
+    ("toric fibers --map gap --moves none --c 1 --n 3 --degree 2",
+     "map gap with move set none takes no --c"),
+    ("toric reduce --moves gens --c 9 --binomial 'x[1,2]*x[3,4] - x[1,3]*x[2,4]'",
+     "move set gens takes no --c"),
+    ("toric reduce --moves none --c 2 --binomial 'x[1,2]*x[3,4] - x[1,3]*x[2,4]'",
+     "move set none takes no --c"),
+    # each move is tried at every shift within the binomial's vertex span
+    ("toric reduce --moves gens --binomial 'x[1,2]*x[3,4]*x[99997,99998]*x[99999,100000]"
+     " - x[1,3]*x[2,4]*x[99997,99999]*x[99998,100000]'",
+     "2 moves give 199991 placements on x1..x100000, over the safety cap 100000;"
+     " pass --unsafe to override"),
 ])
 def test_malformed_input_is_a_usage_error(command, message):
     res = run(*shlex.split(command))
@@ -498,7 +552,7 @@ def test_toric_degree_stats_is_bounded(monkeypatch):
     res = run("toric", "degree-stats", "--nmin", "5", "--nmax", "5")
     assert res.exit_code == 0
     assert "n=5   computed=2   formula=2   ok" in res.output
-    # the limit itself is allowed; a stub stands in for the 1.7 s computation
+    # the limit itself is allowed; a stub stands in for the 1.0 s computation
     calls = []
     monkeypatch.setattr(cli, "gen_degree_stats", lambda *args: calls.append(args) or [])
     res = run("toric", "degree-stats", "--nmin", "40", "--nmax", "40")

@@ -118,6 +118,18 @@ def test_child_steps():
         base.child(3)
 
 
+def test_family_matches_the_recursion():
+    # g(s) is written down from its steps; the recursion rewrites its parent's
+    # top triangle, and both must give every element the same weights
+    ref = {g.s: g for g in productref.recursive_gen_family(max_span=30)}
+    fam = build_gen_family(max_span=30)
+    assert len(fam) == len(ref) == 1080
+    for g in fam:
+        assert (g.s, g.w, g.label()) == (ref[g.s].s, ref[g.s].w, ref[g.s].label())
+    with pytest.raises(ValueError, match="step must be 1 or 2"):
+        GenElement.of((1, 0))
+
+
 def test_family_census_is_fibonacci():
     fam = build_gen_family(max_degree=15)
     census = Counter(e.degree() for e in fam)
