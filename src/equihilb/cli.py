@@ -32,6 +32,7 @@ from .toric import (
     kernel_test,
     quadric_family,
     reduce_binomial,
+    shift_offsets,
 )
 
 # click loads after the package modules, so it reuses memory that loading
@@ -59,7 +60,7 @@ PAIRS = ("segre", "concat")
 LANGUAGE_OPTIONS = ("c", "a", "a_c", "b", "b_c")
 # the options each selector or map reads; no map (--moves none) reads none
 READS = {"poly-ring": ("c",), "window-squares": ("c",), "gap": (), None: (),
-         "segre": ("a", "a_c", "b", "b_c"), "concat": ("a", "a_c", "b", "b_c")}
+         "segre": ("a", "b"), "concat": ("a", "b")}
 
 
 def _cap(ctx, value, what):
@@ -75,23 +76,26 @@ def _cap(ctx, value, what):
     return value
 
 
-def _sizes(ctx, *names):
-    """_cap each named size parameter as --name; a window (n, nmax) starts at 1."""
-    for name in names:
-        value, what = ctx.params[name], "--" + name.replace("_", "-")
-        if name in ("n", "nmax") and value < 1:
-            raise click.UsageError("%s=%d must be at least 1: windows start at 1" % (what, value))
-        _cap(ctx, value, what)
-
-
-def _refuse_unread(ctx, what, kinds, options):
-    """Refuse each of the options given, even at its default, that none of the
-    selectors or maps read, as '<what> takes no --option'; an unknown one
-    reads them all, for its own check to refuse."""
+def _inputs(ctx, what, kinds, options=LANGUAGE_OPTIONS):
+    """Refuse each option given, even at its default, that no kind reads, as
+    '<what> takes no --option', then _cap every int parameter in turn, a
+    window (n, nmax) from 1; return the options read, by name.  A pair reads
+    a factor's size when the factor reads c or is no single language, and an
+    unknown kind every option, for their own checks to refuse."""
     reads = {name for kind in kinds for name in READS.get(kind, options)}
-    for name in options:
-        if name not in reads and ctx.get_parameter_source(name) is not ParameterSource.DEFAULT:
-            raise click.UsageError("%s takes no --%s" % (what, name.replace("_", "-")))
+    reads.update(side + "_c" for kind in kinds if kind in PAIRS for side in ("a", "b")
+                 if ctx.params[side] not in SINGLES or "c" in READS[ctx.params[side]])
+    given = [p for p in ctx.command.params if p.name in options]
+    for p in given:
+        if p.name not in reads and ctx.get_parameter_source(p.name) is not ParameterSource.DEFAULT:
+            raise click.UsageError("%s takes no %s" % (what, p.opts[0]))
+    for p in ctx.command.params:
+        if p.type is click.INT:
+            value, flag = ctx.params[p.name], p.opts[0]
+            if p.name in ("n", "nmax") and value < 1:
+                raise click.UsageError("%s=%d must be at least 1: windows start at 1" % (flag, value))
+            _cap(ctx, value, flag)
+    return {p.name: ctx.params[p.name] for p in given if p.name in reads}
 
 
 def _cap_count(ctx, count, cap, what):
@@ -170,8 +174,10 @@ def _build_language(selector, c, a, a_c, b, b_c, checked):
 @click.pass_context
 def series(ctx, selector, c, a, a_c, b, b_c, expand, checked, unsafe, fmt):
     """Print the equivariant Hilbert series of a built-in language."""
-    if selector == "ideal-gap":
-        _refuse_unread(ctx, selector, [], LANGUAGE_OPTIONS + ("expand", "checked"))
+    ideal = selector == "ideal-gap"
+    read = _inputs(ctx, selector, [] if ideal else [selector],
+                   LANGUAGE_OPTIONS + ("expand", "checked") if ideal else LANGUAGE_OPTIONS)
+    if ideal:
         if fmt == "csv":
             raise click.UsageError("csv output needs --expand, which ideal-gap does not take")
         computed, stated = ideal_gap_series()
@@ -191,8 +197,6 @@ def series(ctx, selector, c, a, a_c, b, b_c, expand, checked, unsafe, fmt):
                       "    " + results["witness"]]
         _emit(fmt, "series", {"selector": selector}, results, lines)
         return
-    _refuse_unread(ctx, selector, [selector], LANGUAGE_OPTIONS)
-    _sizes(ctx, "c", "a_c", "b_c")
     lang = _build_language(selector, c, a, a_c, b, b_c, checked)
     ser = lang.series()
     results = {"series": ratfun_to_text(ser)}
@@ -234,7 +238,7 @@ def series(ctx, selector, c, a, a_c, b, b_c, expand, checked, unsafe, fmt):
             lines.append("    %s: %d" % (",".join(map(str, k)), table[k]))
     elif fmt == "csv":
         raise click.UsageError("csv output needs --expand")
-    _emit(fmt, "series", {"selector": selector, "c": c}, results, lines)
+    _emit(fmt, "series", {"selector": selector, **read}, results, lines)
 
 
 def _witness(lang, fam, report, conv):
@@ -268,8 +272,7 @@ def _witness(lang, fam, report, conv):
 @click.pass_context
 def compare(ctx, family, c, conv, dmax, nmax, strict, unsafe, fmt):
     """Compare language counts against the brute-force monomial oracle."""
-    _refuse_unread(ctx, family, [family], ["c"])
-    _sizes(ctx, "c", "dmax", "nmax")
+    read = _inputs(ctx, family, [family])
     lang = _build_language(family, c, None, None, None, None, False)
     fam = GeneratorFamily(*lang.family)
     _cap_multisets(ctx, len(fam.generators(nmax)), "generator", dmax, COMPARE_MULTISETS_CAP)
@@ -294,7 +297,7 @@ def compare(ctx, family, c, conv, dmax, nmax, strict, unsafe, fmt):
         witness = _witness(lang, fam, report, conv)
         if witness is not None:
             lines.append(witness)
-        params = {"family": family, "c": c, "conv": conv, "dmax": dmax, "nmax": nmax}
+        params = {"family": family, **read, "conv": conv, "dmax": dmax, "nmax": nmax}
         _emit(fmt, "compare", params, report, lines, witness=witness)
     if strict and not report["all_equal"]:
         ctx.exit(1)
@@ -312,7 +315,7 @@ def toric():
 @click.pass_context
 def gens(ctx, dmax, unsafe, fmt):
     """List the kernel generator family up to a degree."""
-    _sizes(ctx, "dmax")
+    _inputs(ctx, "toric gens", [])
     items = [("g2", g2(), True)] + [
         (g.label(), g.binomial(), g.structure_check()) for g in build_gen_family(max_degree=dmax)
     ]
@@ -413,8 +416,7 @@ def fibers(ctx, kind, c, n, degree, target, moves, exclude, unsafe, fmt):
     """Fiber-graph connectivity reports."""
     if moves is None:
         moves = next(m for m in MOVE_MAPS if MOVE_MAPS[m] == kind)
-    _refuse_unread(ctx, "map %s with move set %s" % (kind, moves), [kind, _move_map(moves)], ["c"])
-    _sizes(ctx, "c", "n", "degree")
+    read = _inputs(ctx, "map %s with move set %s" % (kind, moves), [kind, _move_map(moves)])
     if target is None and degree is None:
         raise click.UsageError("need --target or --degree")
     if target is not None and degree is not None:
@@ -450,7 +452,7 @@ def fibers(ctx, kind, c, n, degree, target, moves, exclude, unsafe, fmt):
     lines.append(
         "%d target(s), %d disconnected fiber(s)" % (len(targets), disconnected)
     )
-    params = {"map": kind, "c": c, "n": n, "degree": degree, "target": target,
+    params = {"map": kind, **read, "n": n, "degree": degree, "target": target,
               "moves": moves, "exclude": list(exclude)}
     _emit(fmt, "toric fibers", params, reports if target is None else reports[0], lines)
 
@@ -466,8 +468,7 @@ def fibers(ctx, kind, c, n, degree, target, moves, exclude, unsafe, fmt):
 def reduce(ctx, binomial_text, moves, c, n, unsafe, fmt):
     """Reduce a kernel binomial by a move set; report zero or the remainder."""
     kind = _move_map(moves)
-    _refuse_unread(ctx, "move set %s" % moves, [kind], ["c"])
-    _sizes(ctx, "c", "n")
+    read = _inputs(ctx, "move set %s" % moves, [kind])
     h = parse_binomial(binomial_text, kind and edge_spans(kind, c))
     # the quadrics shift along h, so h must fit in the n + c vertices of window n
     if kind == "window-squares" and h.max_vertex() - h.min_vertex() >= n + c:
@@ -476,9 +477,8 @@ def reduce(ctx, binomial_text, moves, c, n, unsafe, fmt):
     if not kernel_test(h):
         raise click.UsageError("not a kernel binomial: %s" % binomial_str(h))
     move_list = _move_set(moves, c, n, _cap(ctx, h.degree(), "binomial degree"))
-    # a move of vertex width w has max(0, W - w + 1) shifts in h's width W
     lo, hi = h.min_vertex(), h.max_vertex()
-    placements = sum(max(0, hi - lo - b.max_vertex() + b.min_vertex() + 1) for _, b in move_list)
+    placements = sum(len(shift_offsets(b, lo, hi)) for _, b in move_list)
     _cap_count(ctx, placements, REDUCE_PLACEMENTS_CAP, "%d moves give %d placements on x%d..x%d"
                % (len(move_list), placements, lo, hi))
     out = reduce_binomial(h, move_list)
@@ -487,7 +487,7 @@ def reduce(ctx, binomial_text, moves, c, n, unsafe, fmt):
         "remainder: %s" % binomial_str(out),
         "reduced to zero: %s" % out.is_zero(),
     ]
-    params = {"binomial": binomial_text, "moves": moves, "c": c, "n": n}
+    params = {"binomial": binomial_text, "moves": moves, **read, "n": n}
     results = {"remainder": binomial_str(out), "zero": out.is_zero()}
     _emit(fmt, "toric reduce", params, results, lines)
 
@@ -526,8 +526,7 @@ def degree_stats(nmin, nmax, fmt):
 @click.pass_context
 def export(ctx, selector, c, a, a_c, b, b_c, what):
     """Emit the automaton of a built-in language as DOT."""
-    _refuse_unread(ctx, selector, [selector], LANGUAGE_OPTIONS)
-    _sizes(ctx, "c", "a_c", "b_c")
+    _inputs(ctx, selector, [selector])
     lang = _build_language(selector, c, a, a_c, b, b_c, False)
     dfa = lang.dfa if what == "dfa" else lang.alt_dfa
     if dfa is None:

@@ -124,10 +124,6 @@ class GenElement:
         w[v + 1, v + 2] = -sign
         return cls(s, w)
 
-    @classmethod
-    def base(cls):
-        return cls.of(())
-
     def label(self):
         return "g(%s)" % ",".join(str(x) for x in self.s)
 
@@ -139,10 +135,6 @@ class GenElement:
 
     def binomial(self):
         return Binomial(self.w, {})
-
-    def child(self, step):
-        """Append a 1-step (span +2) or 2-step (span +3) to the sequence."""
-        return self.of(self.s + (step,))
 
     def structure_check(self):
         """Bottom triangle, alternating doubled chain, top triangle."""
@@ -177,20 +169,12 @@ class GenElement:
 
 def build_gen_family(max_degree=None, max_span=None):
     """The elements g(s) from g() on, by degree, within the degree/span budget; not g2."""
-    base = GenElement.base()
-    out = []
-    frontier = [base]
+    out, frontier = [], [GenElement.of(())]
     while frontier:
-        nxt = []
-        for g in frontier:
-            if max_degree is not None and g.degree() > max_degree:
-                continue
-            if max_span is not None and g.span() > max_span:
-                continue
-            out.append(g)
-            nxt.append(g.child(1))
-            nxt.append(g.child(2))
-        frontier = nxt
+        frontier = [g for g in frontier if (max_degree is None or g.degree() <= max_degree)
+                    and (max_span is None or g.span() <= max_span)]
+        out += frontier
+        frontier = [GenElement.of(g.s + (step,)) for g in frontier for step in (1, 2)]
     out.sort(key=lambda g: (g.degree(), g.s))
     return out
 
@@ -253,9 +237,14 @@ def enumerate_fiber(spans, n, target):
     return sorted(out)
 
 
+def shift_offsets(b, lo, hi):
+    """The offsets k for which b shifted by k has its vertices in lo..hi."""
+    return range(lo - b.min_vertex(), hi - b.max_vertex() + 1)
+
+
 def shifts_within(b, lo, hi):
     """The (offset, shifted binomial) pairs of b whose vertices lie in lo..hi."""
-    return [(k, b.shifted(k)) for k in range(lo - b.min_vertex(), hi - b.max_vertex() + 1)]
+    return [(k, b.shifted(k)) for k in shift_offsets(b, lo, hi)]
 
 
 def move_sides(moves, span):

@@ -342,7 +342,7 @@ def test_criterion_11_fiber_connectivity():
                     fibers += 1
                     if not rep["connected"]:
                         disconnected.append(("ws%d" % c, n, target))
-    base = GenElement.base()
+    base = GenElement.of(())
     btarget = presentation_image(dict(base.binomial().u))
     with_base = fiber_report("gap", None, 7, btarget, gap_moves)
     without = fiber_report(

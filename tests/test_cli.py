@@ -4,6 +4,7 @@ import json
 import shlex
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 
@@ -399,7 +400,7 @@ def test_options_a_family_reads_are_taken():
                   "--n", "4", "--degree", "2"],
                  ["toric", "fibers", "--map", "window-squares", "--moves", "gens", "--c", "1",
                   "--n", "3", "--degree", "2"],
-                 ["series", "segre", "--a", "gap", "--a-c", "1", "--b", "poly-ring"],
+                 ["series", "segre", "--a", "window-squares", "--a-c", "1", "--b", "poly-ring"],
                  ["compare", "poly-ring", "--c", "1", "--dmax", "2", "--nmax", "2"]):
         assert run(*args).exit_code == 0, args
 
@@ -408,7 +409,7 @@ def test_toric_reduce_caps_the_move_placements(monkeypatch):
     # g2 and g2 shifted by 10 span x1..x14: g2 has 11 shifts within it and
     # g() 8, as shifts_within counts them
     text = "x[1,2]*x[3,4]*x[11,12]*x[13,14] - x[1,3]*x[2,4]*x[11,13]*x[12,14]"
-    moves = [g2(), GenElement.base().binomial()]
+    moves = [g2(), GenElement.of(()).binomial()]
     assert sum(len(shifts_within(b, 1, 14)) for b in moves) == 19
     for cap, unsafe, code in ((19, [], 0), (18, [], 2), (18, ["--unsafe"], 0)):
         monkeypatch.setattr(cli, "REDUCE_PLACEMENTS_CAP", cap)
@@ -485,6 +486,10 @@ def test_toric_inputs_name_real_variables():
      "move set gens takes no --c"),
     ("toric reduce --moves none --c 2 --binomial 'x[1,2]*x[3,4] - x[1,3]*x[2,4]'",
      "move set none takes no --c"),
+    # a pair reads a factor's size only when that factor reads c
+    ("series segre --a gap --a-c 5", "segre takes no --a-c"),
+    ("export concat --b gap --b-c 3", "concat takes no --b-c"),
+    ("series concat --a segre --a-c 2", "unknown language 'segre'"),
     # each move is tried at every shift within the binomial's vertex span
     ("toric reduce --moves gens --binomial 'x[1,2]*x[3,4]*x[99997,99998]*x[99999,100000]"
      " - x[1,3]*x[2,4]*x[99997,99999]*x[99998,100000]'",
@@ -501,7 +506,7 @@ NEGATIVE = "must not be negative"
 WINDOW = "must be at least 1: windows start at 1"
 
 
-@pytest.mark.parametrize("command, option, rule", [
+SIZE_CASES = [
     ("series poly-ring --c -1", "--c", NEGATIVE),
     ("series segre --a-c -1", "--a-c", NEGATIVE),
     ("series concat --b-c -1", "--b-c", NEGATIVE),
@@ -521,11 +526,52 @@ WINDOW = "must be at least 1: windows start at 1"
     # degree-stats sweeps from window 0, and keeps its own limits
     ("toric degree-stats --nmin -1", "--nmin", NEGATIVE),
     ("toric degree-stats --nmax -1", "--nmax", NEGATIVE),
-])
+]
+
+
+def int_options(group, path=""):
+    """(command path, option) for every int option of the group's commands."""
+    for name, command in group.commands.items():
+        if isinstance(command, click.Group):
+            yield from int_options(command, path + name + " ")
+        else:
+            yield from ((path + name, p.opts[0]) for p in command.params if p.type is click.INT)
+
+
+@pytest.mark.parametrize("command, option, rule", SIZE_CASES)
 def test_every_size_option_refuses_minus_one(command, option, rule):
     res = run(*shlex.split(command))
     assert res.exit_code == 2
     assert res.output.splitlines()[-1] == "Error: %s=-1 %s" % (option, rule)
+    # a size option added later needs a case here
+    assert [(path, flag) for path, flag in int_options(main) if not any(
+        case.startswith(path + " ") and o == flag for case, o, _ in SIZE_CASES)] == []
+
+
+def test_json_params_hold_the_options_read():
+    gens = "x[1,2]*x[3,4] - x[1,3]*x[2,4]"
+    fibers = {"map": "gap", "n": 4, "degree": 2, "target": None, "exclude": []}
+    for args, params in (
+            (["series", "segre", "--a", "gap", "--b", "window-squares", "--b-c", "2"],
+             {"selector": "segre", "a": "gap", "b": "window-squares", "b_c": 2}),
+            (["series", "gap"], {"selector": "gap"}),
+            (["compare", "gap", "--dmax", "2", "--nmax", "2"],
+             {"family": "gap", "conv": "string-bounded", "dmax": 2, "nmax": 2}),
+            (["compare", "poly-ring", "--c", "1", "--dmax", "2", "--nmax", "2"],
+             {"family": "poly-ring", "c": 1, "conv": "string-bounded", "dmax": 2, "nmax": 2}),
+            (["toric", "fibers", "--map", "gap", "--n", "4", "--degree", "2"],
+             {**fibers, "moves": "gens"}),
+            (["toric", "fibers", "--map", "gap", "--moves", "none", "--n", "4", "--degree", "2"],
+             {**fibers, "moves": "none"}),
+            (["toric", "fibers", "--map", "gap", "--moves", "quadrics", "--c", "1", "--n", "4",
+              "--degree", "2"], {**fibers, "moves": "quadrics", "c": 1}),
+            (["toric", "reduce", "--moves", "gens", "--binomial", gens],
+             {"binomial": gens, "moves": "gens", "n": 8}),
+            (["toric", "reduce", "--moves", "none", "--binomial", gens],
+             {"binomial": gens, "moves": "none", "n": 8})):
+        res = run(*args, "--format", "json")
+        assert res.exit_code == 0, args
+        assert json.loads(res.output)["params"] == params, args
 
 
 def test_toric_degree_stats():

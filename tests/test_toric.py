@@ -90,7 +90,7 @@ def test_window_edges_and_validity():
 
 
 def test_base_element():
-    base = GenElement.base()
+    base = GenElement.of(())
     assert base.label() == "g()"
     assert base.w == {(1, 2): 1, (1, 3): -1, (2, 3): -1, (3, 5): 2,
                       (5, 6): -1, (5, 7): -1, (6, 7): 1}
@@ -101,21 +101,20 @@ def test_base_element():
 
 
 def test_child_steps():
-    base = GenElement.base()
-    e1 = base.child(1)
+    e1 = GenElement.of((1,))
     assert e1.label() == "g(1)"
     assert e1.w == {(1, 2): 1, (1, 3): -1, (2, 3): -1, (3, 5): 2,
                     (5, 7): -2, (7, 8): 1, (7, 9): 1, (8, 9): -1}
     assert (e1.degree(), e1.span()) == (5, 9)
-    e2 = base.child(2)
+    e2 = GenElement.of((2,))
     assert e2.w == {(1, 2): 1, (1, 3): -1, (2, 3): -1, (3, 5): 2, (5, 6): -2,
                     (6, 8): 2, (8, 9): -1, (8, 10): -1, (9, 10): 1}
-    e11 = e1.child(1)
+    e11 = GenElement.of((1, 1))
     assert e11.w == {(1, 2): 1, (1, 3): -1, (2, 3): -1, (3, 5): 2, (5, 7): -2,
                      (7, 9): 2, (9, 10): -1, (9, 11): -1, (10, 11): 1}
     assert (e2.degree(), e11.degree()) == (6, 6)
     with pytest.raises(ValueError):
-        base.child(3)
+        GenElement.of((3,))
 
 
 def test_family_matches_the_recursion():
@@ -156,7 +155,7 @@ def test_family_kernel_and_structure():
 ])
 def test_structure_check_rejects_a_corrupted_element(edit):
     # g(2): bottom triangle, chain (3,5) (5,6) (6,8), top triangle at k = 10
-    good = GenElement.base().child(2)
+    good = GenElement.of((2,))
     assert good.structure_check()
     bad = GenElement(good.s, {e: w for e, w in {**good.w, **edit}.items() if w})
     assert not bad.structure_check()
@@ -355,7 +354,7 @@ def test_shifts_within_the_target_act_as_the_window_valid_shifts():
 
 
 def test_fiber_report_base_element():
-    base = GenElement.base()
+    base = GenElement.of(())
     target = presentation_image(dict(base.binomial().u))
     moves = [(e.label(), e.binomial()) for e in build_gen_family(max_degree=6)]
     rep = fiber_report("gap", None, 7, target, moves)
@@ -405,12 +404,12 @@ def move_cases(draw):
     return kind, c, n, target, moves, draw(st.booleans()), h
 
 
-BASE_TARGET = presentation_image(dict(GenElement.base().binomial().u))
+BASE_TARGET = presentation_image(dict(GenElement.of(()).binomial().u))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(move_cases())
-@example(("gap", None, 7, BASE_TARGET, GENS, True, GenElement.base().binomial()))
+@example(("gap", None, 7, BASE_TARGET, GENS, True, GenElement.of(()).binomial()))
 @example(("window-squares", 2, 5, {1: 1, 2: 1, 3: 2, 4: 1, 5: 1},
           [("q%d" % i, b) for i, b in enumerate(quadric_family(2, 5))], False, None))
 def test_move_sides_keep_the_reports_and_the_reductions(case):
@@ -462,7 +461,7 @@ def test_gap_fibers_connected_small():
 
 def test_reduce_binomial():
     fam6 = [(e.label(), e.binomial()) for e in build_gen_family(max_degree=6)]
-    base = GenElement.base().binomial()
+    base = GenElement.of(()).binomial()
     assert reduce_binomial(base, fam6).is_zero()
     # the quadric alone cannot touch the degree-4 element
     assert reduce_binomial(base, [("g2", g2())]) == base
