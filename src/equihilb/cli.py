@@ -58,9 +58,11 @@ MOVE_MAPS = {"gens": "gap", "quadrics": "window-squares", "none": None}
 SINGLES = ("poly-ring", "window-squares", "gap")
 PAIRS = ("segre", "concat")
 LANGUAGE_OPTIONS = ("c", "a", "a_c", "b", "b_c")
-# the options each selector or map reads; no map (--moves none) reads none
-READS = {"poly-ring": ("c",), "window-squares": ("c",), "gap": (), None: (),
-         "segre": ("a", "b"), "concat": ("a", "b")}
+# the options each selector, map or move set reads; the quadrics of
+# toric reduce come from window n
+READS = {"poly-ring": ("c",), "window-squares": ("c",), "gap": (),
+         "segre": ("a", "b"), "concat": ("a", "b"),
+         "quadrics": ("c", "n"), "gens": (), "none": ()}
 
 
 def _cap(ctx, value, what):
@@ -416,7 +418,8 @@ def fibers(ctx, kind, c, n, degree, target, moves, exclude, unsafe, fmt):
     """Fiber-graph connectivity reports."""
     if moves is None:
         moves = next(m for m in MOVE_MAPS if MOVE_MAPS[m] == kind)
-    read = _inputs(ctx, "map %s with move set %s" % (kind, moves), [kind, _move_map(moves)])
+    _move_map(moves)
+    read = _inputs(ctx, "map %s with move set %s" % (kind, moves), [kind, moves])
     if target is None and degree is None:
         raise click.UsageError("need --target or --degree")
     if target is not None and degree is not None:
@@ -468,7 +471,7 @@ def fibers(ctx, kind, c, n, degree, target, moves, exclude, unsafe, fmt):
 def reduce(ctx, binomial_text, moves, c, n, unsafe, fmt):
     """Reduce a kernel binomial by a move set; report zero or the remainder."""
     kind = _move_map(moves)
-    read = _inputs(ctx, "move set %s" % moves, [kind])
+    read = _inputs(ctx, "move set %s" % moves, [moves], ("c", "n"))
     h = parse_binomial(binomial_text, kind and edge_spans(kind, c))
     # the quadrics shift along h, so h must fit in the n + c vertices of window n
     if kind == "window-squares" and h.max_vertex() - h.min_vertex() >= n + c:
@@ -487,7 +490,7 @@ def reduce(ctx, binomial_text, moves, c, n, unsafe, fmt):
         "remainder: %s" % binomial_str(out),
         "reduced to zero: %s" % out.is_zero(),
     ]
-    params = {"binomial": binomial_text, "moves": moves, **read, "n": n}
+    params = {"binomial": binomial_text, "moves": moves, **read}
     results = {"remainder": binomial_str(out), "zero": out.is_zero()}
     _emit(fmt, "toric reduce", params, results, lines)
 

@@ -370,37 +370,58 @@ def minimal_generator_degrees(kind, c, n, dmax):
     are linked by a chain of shared edges exactly when their edges are
     joined, so a fiber's components are its edge components.
 
-    An image's least vertex is the start of its multisets' first edge, and
-    the multisets come in lex order, so the fibers of one start vertex are
-    dropped when its block ends.  A fiber is keyed by its packed image and
-    holds its components as disjoint bitmasks of window edges, one int until
-    it splits and then a list; a multiset that meets k of them joins them,
-    so the count gains 1 - k.
+    A depth-first walk over edge indices visits the multisets of each
+    degree in lex order: it keeps one live multiset and the running OR of
+    its edge bits, adding an edge on the way down and taking it off on the
+    way back, and images each full multiset once.  An image's least vertex
+    is the start of its multisets' first edge, so the fibers of one start
+    vertex are dropped when its block ends.  A fiber is keyed by its packed
+    image and holds its components as disjoint bitmasks of window edges,
+    one int until it splits and then a list; a multiset that meets k of
+    them joins them, so the count gains 1 - k.
     """
     spans = edge_spans(kind, c)
     top = n + max(spans, default=0)
-    bit = {e: 1 << k for k, e in enumerate(window_edges(spans, n))}
+    edges = window_edges(spans, n)
+    m = {}
+
+    def walk(lo, depth, mask):
+        """The count's gain over the multisets that add depth edges from
+        edges[lo] on to m, whose edges have the bits of mask."""
+        gain = 0
+        for k in range(lo, len(edges)):
+            e = edges[k]
+            m[e] = m.get(e, 0) + 1
+            if depth > 1:
+                gain += walk(k, depth - 1, mask | 1 << k)
+            else:
+                img = presentation_image(m)
+                key = sum([x * powers[v] for v, x in img.items()])
+                joined = mask | 1 << k
+                comps = fibers.get(key, 0)
+                if type(comps) is int and (not comps or comps & joined):
+                    fibers[key] = comps | joined
+                else:
+                    if type(comps) is int:
+                        comps = [comps]
+                    # the components are disjoint, so those met sum to their union
+                    rest = [x for x in comps if not x & joined]
+                    fibers[key] = rest + [sum(comps) - sum(rest) | joined]
+                    gain += len(rest) + 1 - len(comps)
+            m[e] -= 1
+            if not m[e]:
+                del m[e]
+        return gain
+
     out = {}
     for d in range(2, dmax + 1):
         # exponents of a degree-d image are at most 2d, so base 2d + 1 packs it
         powers = [(2 * d + 1) ** v for v in range(top + 1)]
-        surplus = 0
-        start = None
-        for m, img in edge_multisets(spans, n, d):
-            i = next(iter(m))[0]
-            if i != start:
-                start, fibers = i, {}
-            key = sum([e * powers[v] for v, e in img.items()])
-            mask = sum(map(bit.__getitem__, m))
-            comps = fibers.get(key, 0)
-            if type(comps) is int:
-                if not comps or comps & mask:
-                    fibers[key] = comps | mask
-                    continue
-                comps = [comps]
-            # the components are disjoint, so those met sum to their union
-            rest = [x for x in comps if not x & mask]
-            fibers[key] = rest + [sum(comps) - sum(rest) | mask]
-            surplus += len(rest) + 1 - len(comps)
-        out[d] = surplus
+        out[d] = 0
+        for k, e in enumerate(edges):
+            if not k or e[0] != edges[k - 1][0]:
+                fibers = {}
+            m[e] = 1
+            out[d] += walk(k, d - 1, 1 << k)
+            del m[e]
     return out

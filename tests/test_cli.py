@@ -380,7 +380,7 @@ def test_toric_reduce():
     assert "not a kernel binomial" in res.output
     # no move set, no window: any edge x[i,j] with 1 <= i <= j may appear
     res = run("toric", "reduce", "--moves", "none", "--binomial",
-              "x[1,1]*x[2,2] - x[1,2]^2", "--n", "1")
+              "x[1,1]*x[2,2] - x[1,2]^2")
     assert res.exit_code == 0
     assert "reduced to zero: False" in res.output
     # --n is the window the quadrics come from, and each move acts through
@@ -461,7 +461,7 @@ def test_toric_inputs_name_real_variables():
      "x-variable 'x100000' needs an index of at least 1 and at most 5"),
     ("toric reduce --binomial 'x[1,100000]*x[2,3] - x[1,3]*x[2,100000]' --c 1 --n 4",
      "edge variable 'x[1,100000]' needs 1 <= i <= j in x[i,j] and j - i in [0, 1]"),
-    ("toric reduce --moves gens --binomial 'x[1,1]*x[2,2] - x[1,2]^2' --n 4",
+    ("toric reduce --moves gens --binomial 'x[1,1]*x[2,2] - x[1,2]^2'",
      "edge variable 'x[1,1]' needs 1 <= i <= j in x[i,j] and j - i in [1, 2]"),
     ("toric reduce --binomial 'x[1,1]*x[2,2]*x[99999,99999]*x[100000,100000]"
      " - x[1,2]^2*x[99999,100000]^2' --c 1 --n 4",
@@ -486,6 +486,11 @@ def test_toric_inputs_name_real_variables():
      "move set gens takes no --c"),
     ("toric reduce --moves none --c 2 --binomial 'x[1,2]*x[3,4] - x[1,3]*x[2,4]'",
      "move set none takes no --c"),
+    # only the quadrics come from a window
+    ("toric reduce --moves gens --n 4 --binomial 'x[1,2]*x[3,4] - x[1,3]*x[2,4]'",
+     "move set gens takes no --n"),
+    ("toric reduce --moves none --n 8 --binomial 'x[1,2]*x[3,4] - x[1,3]*x[2,4]'",
+     "move set none takes no --n"),
     # a pair reads a factor's size only when that factor reads c
     ("series segre --a gap --a-c 5", "segre takes no --a-c"),
     ("export concat --b gap --b-c 3", "concat takes no --b-c"),
@@ -566,9 +571,11 @@ def test_json_params_hold_the_options_read():
             (["toric", "fibers", "--map", "gap", "--moves", "quadrics", "--c", "1", "--n", "4",
               "--degree", "2"], {**fibers, "moves": "quadrics", "c": 1}),
             (["toric", "reduce", "--moves", "gens", "--binomial", gens],
-             {"binomial": gens, "moves": "gens", "n": 8}),
+             {"binomial": gens, "moves": "gens"}),
             (["toric", "reduce", "--moves", "none", "--binomial", gens],
-             {"binomial": gens, "moves": "none", "n": 8})):
+             {"binomial": gens, "moves": "none"}),
+            (["toric", "reduce", "--binomial", "x[1,1]*x[2,2] - x[1,2]^2", "--c", "1"],
+             {"binomial": "x[1,1]*x[2,2] - x[1,2]^2", "moves": "quadrics", "c": 1, "n": 8})):
         res = run(*args, "--format", "json")
         assert res.exit_code == 0, args
         assert json.loads(res.output)["params"] == params, args

@@ -490,6 +490,9 @@ def test_minimal_generator_degrees():
     assert minimal_generator_degrees("gap", None, 6, 4) == {2: 4, 3: 0, 4: 1}
     assert minimal_generator_degrees("gap", None, 7, 4) == {2: 5, 3: 0, 4: 2}
     assert minimal_generator_degrees("window-squares", 1, 4, 3) == {2: 3, 3: 0}
+    # the windows the benchmark's recheck workload counts
+    assert minimal_generator_degrees("gap", None, 8, 5) == {2: 6, 3: 0, 4: 3, 5: 1}
+    assert minimal_generator_degrees("gap", None, 9, 6) == {2: 7, 3: 0, 4: 4, 5: 2, 6: 1}
 
 
 def _pairwise_generator_count(kind, c, n, d):
